@@ -59,8 +59,9 @@ int Run() {
       automl::ModelRaceOptions race;
       race.num_seed_pipelines = 36;
       race.seed = seed;
+      ExecContext ctx;
       auto engine = Adarts::TrainFromLabeled(exp->train, exp->pool, {}, race,
-                                             seed);
+                                             seed, ctx);
       if (!engine.ok()) continue;
       // The engine's committee is already fitted; evaluate it directly and
       // against its first (best mean score) member alone.
@@ -123,8 +124,9 @@ int Run() {
         Stopwatch watch;
         auto scores = EvaluateAdarts(*exp, race);
         const double seconds = watch.ElapsedSeconds();
-        auto engine =
-            Adarts::TrainFromLabeled(exp->train, exp->pool, {}, race, race.seed);
+        ExecContext ctx;
+        auto engine = Adarts::TrainFromLabeled(exp->train, exp->pool, {}, race,
+                                               race.seed, ctx);
         std::size_t evals = 0, pruned = 0;
         if (engine.ok()) {
           evals = engine->race_report().pipelines_evaluated;
@@ -155,10 +157,11 @@ int Run() {
     labeling::LabelingOptions lopts;
     lopts.algorithms = BenchPool();
     lopts.representatives_per_cluster = 4;
-    auto clustering = cluster::IncrementalClustering(corpus, {});
+    ExecContext ctx;
+    auto clustering = cluster::IncrementalClustering(corpus, {}, ctx);
     if (!clustering.ok()) continue;
-    auto fast = labeling::LabelByClusters(corpus, *clustering, lopts);
-    auto full = labeling::LabelSeriesFull(corpus, lopts);
+    auto fast = labeling::LabelByClusters(corpus, *clustering, lopts, ctx);
+    auto full = labeling::LabelSeriesFull(corpus, lopts, ctx);
     if (!fast.ok() || !full.ok()) continue;
     // Near-tie algorithms make raw label agreement meaningless; the honest
     // quality measure is the RMSE regret of the propagated label relative

@@ -37,7 +37,9 @@ int Run(std::size_t num_threads, const std::string& json_path) {
   const std::vector<ts::TimeSeries> corpus = data::GenerateMixedCorpus(2, gopts);
   std::printf("corpus: %zu series from 6 categories x 2 variants\n\n",
               corpus.size());
-  const la::Matrix corr = cluster::PairwiseCorrelationMatrix(corpus);
+  ExecContext serial_ctx(1);
+  const la::Matrix corr =
+      cluster::PairwiseCorrelationMatrix(corpus, serial_ctx);
 
   struct Row {
     const char* name;
@@ -130,7 +132,8 @@ int Run(std::size_t num_threads, const std::string& json_path) {
               "cluster (s)", "speedup", "parity");
   PrintRule(62);
   // Serial reference for the bit-identity check and the speedup baseline.
-  const la::Matrix ref_corr = cluster::PairwiseCorrelationMatrix(corpus);
+  const la::Matrix ref_corr =
+      cluster::PairwiseCorrelationMatrix(corpus, serial_ctx);
   cluster::IncrementalOptions copts;
   copts.correlation_threshold = 0.75;
   copts.small_cluster_size = 6;

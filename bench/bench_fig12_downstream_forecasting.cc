@@ -56,8 +56,9 @@ Result<impute::Algorithm> StaticRecommendation(
   lopts.algorithms = pool;
   lopts.pattern = ts::MissingPattern::kTipOfSeries;
   lopts.missing_fraction = config.tip_fraction;
+  ExecContext ctx;
   ADARTS_ASSIGN_OR_RETURN(labeling::LabelingResult labels,
-                          labeling::LabelSeriesFull(reference, lopts));
+                          labeling::LabelSeriesFull(reference, lopts, ctx));
   // Average rank per algorithm across the reference series.
   la::Vector avg_rank(pool.size(), 0.0);
   for (std::size_t i = 0; i < reference.size(); ++i) {
@@ -180,8 +181,9 @@ Result<AnomalyScores> AnomalyAfterRepair(
   for (std::size_t i = 1; i < working.size(); i += 2) {
     ADARTS_RETURN_NOT_OK(ts::InjectTipBlock(config.tip_fraction, &working[i]));
   }
+  ExecContext ctx;
   ADARTS_ASSIGN_OR_RETURN(std::vector<ts::TimeSeries> fixed_adarts,
-                          engine.RepairSet(working));
+                          engine.RepairSet(working, {}, ctx));
   ADARTS_ASSIGN_OR_RETURN(
       std::vector<ts::TimeSeries> fixed_static,
       impute::CreateImputer(static_algo)->ImputeSet(working));
@@ -243,7 +245,8 @@ int Run(const Fig12Config& config, const BenchJsonWriter& writer) {
     topts.race.num_seed_pipelines = config.smoke ? 8 : 14;
     topts.race.num_partial_sets = 2;
     topts.race.num_folds = 2;
-    auto engine = Adarts::Train(histories, topts);
+    ExecContext ctx;
+    auto engine = Adarts::Train(histories, topts, ctx);
     if (!engine.ok()) {
       std::printf("%-14s training failed: %s\n", name.c_str(),
                   engine.status().ToString().c_str());
@@ -269,8 +272,10 @@ int Run(const Fig12Config& config, const BenchJsonWriter& writer) {
                  !ts::InjectTipBlock(config.tip_fraction, &working_s[i]).ok();
       }
       if (failed) break;
-      auto rec = engine->Recommend(working_a[static_cast<std::size_t>(parity)]);
-      auto fixed_a = engine->RepairSet(working_a);
+      ExecContext repair_ctx;
+      auto rec = engine->Recommend(working_a[static_cast<std::size_t>(parity)],
+                                   repair_ctx);
+      auto fixed_a = engine->RepairSet(working_a, {}, repair_ctx);
       auto fixed_s = impute::CreateImputer(*static_algo)->ImputeSet(working_s);
       if (!fixed_a.ok() || !fixed_s.ok() || !rec.ok()) {
         failed = true;

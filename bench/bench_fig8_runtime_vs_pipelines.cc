@@ -90,8 +90,9 @@ int Run(std::size_t num_threads, const std::string& json_path) {
         secs.push_back(scores->train_seconds);
       }
       // Inspect the committee composition via a direct race.
+      ExecContext ctx;
       auto engine = Adarts::TrainFromLabeled(exp->train, exp->pool, {}, race,
-                                             seed);
+                                             seed, ctx);
       if (engine.ok()) {
         winners = std::max(winners, engine->race_report().elites.size());
         std::map<ml::ClassifierKind, int> family_count;

@@ -121,8 +121,9 @@ Result<CellResult> EvaluateCell(const ts::Scenario& scenario, double rate,
   }
 
   if (engine != nullptr) {
+    ExecContext ctx;
     for (const auto& series : masked) {
-      const Result<impute::Algorithm> rec = engine->Recommend(series);
+      const Result<impute::Algorithm> rec = engine->Recommend(series, ctx);
       if (!rec.ok()) {
         ++cell.recommend_failures;
         continue;
@@ -152,7 +153,8 @@ Result<Adarts> TrainCategoryEngine(const std::vector<ts::TimeSeries>& corpus,
   topts.race.num_partial_sets = 2;
   topts.race.num_folds = 2;
   topts.seed = seed;
-  return Adarts::Train(corpus, topts);
+  ExecContext ctx;
+  return Adarts::Train(corpus, topts, ctx);
 }
 
 int RunSweep(const SweepConfig& config, const BenchJsonWriter& writer) {

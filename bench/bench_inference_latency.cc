@@ -92,22 +92,13 @@ void BM_Recommend(benchmark::State& state) {
   const Adarts& engine = SharedEngine();
   const ts::TimeSeries faulty =
       FaultySeries(static_cast<std::size_t>(state.range(0)));
+  ExecContext ctx;
   for (auto _ : state) {
-    auto algo = engine.Recommend(faulty);
+    auto algo = engine.Recommend(faulty, ctx);
     benchmark::DoNotOptimize(algo);
   }
 }
 BENCHMARK(BM_Recommend)->Arg(160)->Arg(320)->Arg(640);
-
-void BM_RecommendRanked(benchmark::State& state) {
-  const Adarts& engine = SharedEngine();
-  const ts::TimeSeries faulty = FaultySeries(160);
-  for (auto _ : state) {
-    auto ranking = engine.RecommendRanked(faulty);
-    benchmark::DoNotOptimize(ranking);
-  }
-}
-BENCHMARK(BM_RecommendRanked);
 
 void BM_FeatureExtractionShare(benchmark::State& state) {
   const Adarts& engine = SharedEngine();
@@ -146,7 +137,8 @@ void BM_EndToEndRepair(benchmark::State& state) {
   const Adarts& engine = SharedEngine();
   const ts::TimeSeries faulty = FaultySeries(160);
   for (auto _ : state) {
-    auto repaired = engine.Repair(faulty);
+    ExecContext ctx;
+    auto repaired = engine.Repair(faulty, ctx);
     benchmark::DoNotOptimize(repaired);
   }
 }

@@ -62,11 +62,12 @@ Result<CategoryExperiment> BuildCategoryExperiment(
     cluster::IncrementalOptions copts;
     copts.correlation_threshold = 0.8;
     copts.seed = options.seed + v;
+    ExecContext ctx;
     ADARTS_ASSIGN_OR_RETURN(cluster::Clustering clustering,
-                            cluster::IncrementalClustering(corpus, copts));
+                            cluster::IncrementalClustering(corpus, copts, ctx));
     ADARTS_ASSIGN_OR_RETURN(
         labeling::LabelingResult labels,
-        labeling::LabelByClusters(corpus, clustering, lopts));
+        labeling::LabelByClusters(corpus, clustering, lopts, ctx));
     // Features come from masked copies: inference-time series are faulty.
     for (std::size_t i = 0; i < corpus.size(); ++i) {
       ts::TimeSeries masked = corpus[i];

@@ -64,7 +64,8 @@ int main() {
   options.race.num_seed_pipelines = 14;
   options.race.num_partial_sets = 2;
   options.race.num_folds = 2;
-  auto engine = Adarts::Train(histories, options);
+  ExecContext ctx;
+  auto engine = Adarts::Train(histories, options, ctx);
   if (!engine.ok()) {
     std::printf("training failed: %s\n", engine.status().ToString().c_str());
     return 1;
@@ -82,8 +83,8 @@ int main() {
               (faulty.size() + 1) / 2, faulty.size());
 
   // --- Repair with the recommendation vs a naive mean fill.
-  auto recommended = engine->Recommend(faulty[0]);
-  auto smart = engine->RepairSet(faulty);
+  auto recommended = engine->Recommend(faulty[0], ctx);
+  auto smart = engine->RepairSet(faulty, {}, ctx);
   auto naive =
       impute::CreateImputer(impute::Algorithm::kMeanImpute)->ImputeSet(faulty);
   if (!smart.ok() || !naive.ok() || !recommended.ok()) {

@@ -92,19 +92,20 @@ int main(int argc, char** argv) {
               faulty.length(), faulty.MissingCount());
 
   // --- 4. Ask for a recommendation, then repair.
-  auto ranking = engine->RecommendRanked(faulty);
-  if (!ranking.ok()) {
+  auto rec = engine->RecommendEx(faulty);
+  if (!rec.ok()) {
     std::printf("recommendation failed: %s\n",
-                ranking.status().ToString().c_str());
+                rec.status().ToString().c_str());
     return 1;
   }
   std::printf("Recommended algorithms (best first):");
-  for (std::size_t i = 0; i < 3 && i < ranking->size(); ++i) {
-    std::printf(" %s", std::string(impute::AlgorithmToString((*ranking)[i])).c_str());
+  for (std::size_t i = 0; i < 3 && i < rec->ranking.size(); ++i) {
+    std::printf(" %s",
+                std::string(impute::AlgorithmToString(rec->ranking[i])).c_str());
   }
   std::printf(" ...\n");
 
-  auto repaired = engine->Repair(faulty);
+  auto repaired = engine->Repair(faulty, ctx);
   if (!repaired.ok()) {
     std::printf("repair failed: %s\n", repaired.status().ToString().c_str());
     return 1;

@@ -43,14 +43,15 @@ int main() {
   // --- Show the labeling economics before training.
   {
     cluster::IncrementalOptions copts;
-    auto clustering = cluster::IncrementalClustering(corpus, copts);
+    ExecContext ctx;
+    auto clustering = cluster::IncrementalClustering(corpus, copts, ctx);
     if (clustering.ok()) {
       labeling::LabelingOptions lopts;
       lopts.algorithms = {impute::Algorithm::kCdRec, impute::Algorithm::kTkcm,
                           impute::Algorithm::kIim,
                           impute::Algorithm::kLinearInterp};
-      auto fast = labeling::LabelByClusters(corpus, *clustering, lopts);
-      auto full = labeling::LabelSeriesFull(corpus, lopts);
+      auto fast = labeling::LabelByClusters(corpus, *clustering, lopts, ctx);
+      auto full = labeling::LabelSeriesFull(corpus, lopts, ctx);
       if (fast.ok() && full.ok()) {
         std::printf("\n== Labeling cost (Section VI) ==\n");
         std::printf("  %zu series -> %zu clusters\n", corpus.size(),
@@ -72,7 +73,8 @@ int main() {
       impute::Algorithm::kIim, impute::Algorithm::kLinearInterp};
   options.race.num_seed_pipelines = 18;
   options.race.num_partial_sets = 3;
-  auto engine = Adarts::Train(corpus, options);
+  ExecContext ctx;
+  auto engine = Adarts::Train(corpus, options, ctx);
   if (!engine.ok()) {
     std::printf("training failed: %s\n", engine.status().ToString().c_str());
     return 1;
@@ -95,7 +97,7 @@ int main() {
         return 1;
       }
     }
-    auto repaired = engine->RepairSet(faulty);
+    auto repaired = engine->RepairSet(faulty, {}, ctx);
     if (!repaired.ok()) {
       std::printf("  %-18s repair failed: %s\n", name.c_str(),
                   repaired.status().ToString().c_str());
@@ -111,7 +113,7 @@ int main() {
         ++count;
       }
     }
-    auto recommendation = engine->Recommend(faulty[0]);
+    auto recommendation = engine->Recommend(faulty[0], ctx);
     std::printf("  %-18s repaired %zu series, avg RMSE %.4f, algorithm: %s\n",
                 name.c_str(), count, rmse_total / count,
                 recommendation.ok()

@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <sstream>
 
 #include "adarts/stages.h"
-#include "common/cancellation.h"
 #include "common/exec_context.h"
 #include "common/failpoint.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "ts/missing.h"
 
@@ -45,19 +44,6 @@ void Adarts::RecomputeDefaultClass() {
       default_class_ = static_cast<int>(c);
     }
   }
-}
-
-Result<Adarts> Adarts::Train(const std::vector<ts::TimeSeries>& corpus,
-                             const TrainOptions& options) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  // The pre-context API let `race.cancel` carry a token when the top-level
-  // one was unset; preserve that by promoting it to the context's token.
-  const CancellationToken* cancel =
-      options.cancel != nullptr ? options.cancel : options.race.cancel;
-  ExecContext ctx(options.num_threads, cancel);
-#pragma GCC diagnostic pop
-  return Train(corpus, options, ctx);
 }
 
 Result<Adarts> Adarts::Train(const std::vector<ts::TimeSeries>& corpus,
@@ -130,12 +116,6 @@ Result<Adarts> Adarts::Train(const std::vector<ts::TimeSeries>& corpus,
   engine.growth_ = std::move(growth);
   engine.train_report_.stages = ctx.metrics().Snapshot();
   return engine;
-}
-
-Status Adarts::AppendSeries(const std::vector<ts::TimeSeries>& delta,
-                            const UpdateOptions& options) {
-  ExecContext ctx;
-  return AppendSeries(delta, options, ctx);
 }
 
 Status Adarts::AppendSeries(const std::vector<ts::TimeSeries>& delta,
@@ -311,18 +291,6 @@ Status Adarts::AppendSeries(const std::vector<ts::TimeSeries>& delta,
 Result<Adarts> Adarts::TrainFromLabeled(
     const ml::Dataset& labeled, const std::vector<impute::Algorithm>& pool,
     const features::FeatureExtractorOptions& feature_options,
-    const automl::ModelRaceOptions& race_options, std::uint64_t seed) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  ExecContext ctx(race_options.num_threads, race_options.cancel);
-#pragma GCC diagnostic pop
-  return TrainFromLabeled(labeled, pool, feature_options, race_options, seed,
-                          ctx);
-}
-
-Result<Adarts> Adarts::TrainFromLabeled(
-    const ml::Dataset& labeled, const std::vector<impute::Algorithm>& pool,
-    const features::FeatureExtractorOptions& feature_options,
     const automl::ModelRaceOptions& race_options, std::uint64_t seed,
     ExecContext& ctx) {
   ADARTS_RETURN_NOT_OK(labeled.Validate());
@@ -348,124 +316,92 @@ Result<Adarts> Adarts::TrainFromLabeled(
   return engine;
 }
 
-Result<impute::Algorithm> Adarts::Recommend(const ts::TimeSeries& faulty) const {
-  ADARTS_ASSIGN_OR_RETURN(Recommendation rec, RecommendEx(faulty));
-  return rec.algorithm;
-}
-
-Result<impute::Algorithm> Adarts::Recommend(const ts::TimeSeries& faulty,
-                                            ExecContext& ctx) const {
-  ADARTS_ASSIGN_OR_RETURN(Recommendation rec, RecommendEx(faulty, ctx));
-  return rec.algorithm;
-}
-
-Result<Recommendation> Adarts::RecommendEx(const ts::TimeSeries& faulty,
-                                           ExecContext& ctx) const {
-  TraceSpan span("recommend.series");
-  Stopwatch latency_watch;
-  ADARTS_ASSIGN_OR_RETURN(Recommendation rec, RecommendEx(faulty));
-  // Fold the per-call breakdown into the context's long-lived registry, so
-  // a serving loop sees request totals alongside the training spans.
-  Metrics& metrics = ctx.metrics();
-  metrics.histogram("recommend.latency")
-      ->RecordSeconds(latency_watch.ElapsedSeconds());
-  metrics.Increment("recommend.requests");
-  if (rec.degradation != automl::DegradationLevel::kFullCommittee) {
-    metrics.Increment("recommend.degraded");
-  }
-  metrics.Increment("vote.members_failed", rec.vote.members_failed);
-  for (const auto& [name, seconds] : rec.stages.spans_seconds) {
-    metrics.RecordSpanSeconds(name, seconds);
-  }
-  return rec;
-}
-
 Result<Recommendation> Adarts::RecommendEx(const ts::TimeSeries& faulty) const {
+  Recommendation rec;
   Stopwatch extract_watch;
   ADARTS_ASSIGN_OR_RETURN(la::Vector f, extractor_.Extract(faulty));
-  const double extract_seconds = extract_watch.ElapsedSeconds();
-  Recommendation rec;
+  rec.extract_seconds = extract_watch.ElapsedSeconds();
   Stopwatch vote_watch;
   const la::Vector p = recommender_.PredictProba(f, &rec.vote);
-  const double vote_seconds = vote_watch.ElapsedSeconds();
+  rec.vote_seconds = vote_watch.ElapsedSeconds();
   rec.degradation = rec.vote.level;
-  rec.stages.spans_seconds["recommend.extract_seconds"] = extract_seconds;
-  rec.stages.spans_seconds["recommend.vote_seconds"] = vote_seconds;
-  rec.stages.counters["recommend.degradation_rung"] =
-      static_cast<std::uint64_t>(rec.degradation);
-  rec.stages.counters["vote.members_failed"] = rec.vote.members_failed;
-  int cls;
+  std::vector<std::size_t> order(p.empty() ? pool_.size() : p.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
   if (p.empty()) {
     // Every committee member failed: the last rung of the ladder is the
     // corpus-majority algorithm — degraded but valid, never a crash.
-    cls = default_class_;
+    std::stable_partition(order.begin(), order.end(), [&](std::size_t c) {
+      return c == static_cast<std::size_t>(default_class_);
+    });
   } else {
-    cls = static_cast<int>(std::max_element(p.begin(), p.end()) - p.begin());
+    // Stable, so equal probabilities keep pool order and the front is the
+    // first maximum — the argmax the vote picks.
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) { return p[a] > p[b]; });
   }
   // The committee's class count and the pool are wired together at training
   // time, but a hand-assembled or corrupted bundle can break the invariant;
   // fail cleanly instead of indexing out of bounds.
-  if (cls < 0 || static_cast<std::size_t>(cls) >= pool_.size()) {
+  if (order.empty() || order.size() > pool_.size()) {
     return Status::Internal("recommended class outside the algorithm pool");
   }
-  rec.algorithm = pool_[static_cast<std::size_t>(cls)];
+  rec.ranking.reserve(order.size());
+  for (std::size_t cls : order) rec.ranking.push_back(pool_[cls]);
+  rec.algorithm = rec.ranking.front();
   return rec;
 }
 
-std::vector<Result<impute::Algorithm>> Adarts::RecommendBatchPartial(
-    const std::vector<ts::TimeSeries>& batch,
-    const RecommendBatchOptions& options) const {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  ExecContext ctx(options.num_threads, options.cancel);
-#pragma GCC diagnostic pop
-  return RecommendBatchPartial(batch, options, ctx);
+Result<Recommendation> Adarts::RecommendAndRecord(const ts::TimeSeries& faulty,
+                                                  ExecContext& ctx) const {
+  TraceSpan span("recommend.series");
+  Stopwatch latency_watch;
+  Result<Recommendation> rec = RecommendEx(faulty);
+  // Fold the call into the context's long-lived registry, so a serving loop
+  // sees request totals alongside the training spans.
+  Metrics& metrics = ctx.metrics();
+  metrics.histogram("recommend.latency")
+      ->RecordSeconds(latency_watch.ElapsedSeconds());
+  metrics.Increment("recommend.requests");
+  if (!rec.ok()) return rec;
+  if (rec->degradation != automl::DegradationLevel::kFullCommittee) {
+    metrics.Increment("recommend.degraded");
+  }
+  metrics.Increment("vote.members_failed", rec->vote.members_failed);
+  metrics.RecordSpanSeconds("recommend.extract_seconds", rec->extract_seconds);
+  metrics.RecordSpanSeconds("recommend.vote_seconds", rec->vote_seconds);
+  return rec;
+}
+
+Result<impute::Algorithm> Adarts::Recommend(const ts::TimeSeries& faulty,
+                                            ExecContext& ctx) const {
+  ADARTS_ASSIGN_OR_RETURN(Recommendation rec, RecommendAndRecord(faulty, ctx));
+  return rec.algorithm;
 }
 
 std::vector<Result<impute::Algorithm>> Adarts::RecommendBatchPartial(
-    const std::vector<ts::TimeSeries>& batch,
-    const RecommendBatchOptions& options, ExecContext& ctx) const {
-  (void)options;  // fail_fast is RecommendBatch's concern; kept for symmetry
+    const std::vector<ts::TimeSeries>& batch, ExecContext& ctx) const {
   // One slot per series: extraction and the committee vote are pure reads of
   // the engine, so tasks share nothing but const state. Errors land in the
   // series' own slot; the batch itself always comes back full-size.
   std::vector<Result<impute::Algorithm>> out(
       batch.size(), Result<impute::Algorithm>(
                         Status::Internal("series not evaluated")));
-  if (batch.empty()) return out;
-  // Counter handles are registered once up front: inside the loop every
-  // increment is a relaxed atomic — lock-free on the batch hot path.
-  Metrics& metrics = ctx.metrics();
-  MetricCounter* requests = metrics.counter("recommend.requests");
-  MetricCounter* degraded = metrics.counter("recommend.degraded");
-  MetricCounter* members_failed = metrics.counter("vote.members_failed");
-  LatencyHistogram* latency = metrics.histogram("recommend.latency");
   std::vector<char> done(batch.size(), 0);
   ParallelFor(ctx, batch.size(), [&](std::size_t i) {
-    TraceSpan span("recommend.series");
-    Stopwatch watch;
-    Result<Recommendation> rec = RecommendEx(batch[i]);
-    latency->RecordSeconds(watch.ElapsedSeconds());
-    requests->Increment();
+    Result<Recommendation> rec = RecommendAndRecord(batch[i], ctx);
     if (rec.ok()) {
-      if (rec->degradation != automl::DegradationLevel::kFullCommittee) {
-        degraded->Increment();
-      }
-      members_failed->Increment(rec->vote.members_failed);
       out[i] = rec->algorithm;
     } else {
       out[i] = rec.status();
     }
     done[i] = 1;
   });
-  if (ctx.cancel() != nullptr) {
-    const Status cancelled = ctx.cancel()->Check("RecommendBatch");
-    if (!cancelled.ok()) {
-      // Slots the cancelled loop skipped report the cancellation itself,
-      // not the "not evaluated" placeholder.
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (done[i] == 0) out[i] = cancelled;
-      }
+  const Status cancelled = ctx.CheckCancelled("RecommendBatch");
+  if (!cancelled.ok()) {
+    // Slots the cancelled loop skipped report the cancellation itself, not
+    // the "not evaluated" placeholder.
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (done[i] == 0) out[i] = cancelled;
     }
   }
   return out;
@@ -473,19 +409,9 @@ std::vector<Result<impute::Algorithm>> Adarts::RecommendBatchPartial(
 
 Result<std::vector<impute::Algorithm>> Adarts::RecommendBatch(
     const std::vector<ts::TimeSeries>& batch,
-    const RecommendBatchOptions& options) const {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  ExecContext ctx(options.num_threads, options.cancel);
-#pragma GCC diagnostic pop
-  return RecommendBatch(batch, options, ctx);
-}
-
-Result<std::vector<impute::Algorithm>> Adarts::RecommendBatch(
-    const std::vector<ts::TimeSeries>& batch,
     const RecommendBatchOptions& options, ExecContext& ctx) const {
   std::vector<Result<impute::Algorithm>> partial =
-      RecommendBatchPartial(batch, options, ctx);
+      RecommendBatchPartial(batch, ctx);
   std::vector<impute::Algorithm> out;
   out.reserve(batch.size());
   std::size_t failures = 0;
@@ -517,36 +443,6 @@ Result<std::vector<impute::Algorithm>> Adarts::RecommendBatch(
   return out;
 }
 
-Result<std::vector<impute::Algorithm>> Adarts::RecommendRanked(
-    const ts::TimeSeries& faulty, ExecContext& ctx) const {
-  Stopwatch latency_watch;
-  ctx.metrics().Increment("recommend.requests");
-  auto ranked = RecommendRanked(faulty);
-  ctx.metrics()
-      .histogram("recommend.latency")
-      ->RecordSeconds(latency_watch.ElapsedSeconds());
-  return ranked;
-}
-
-Result<std::vector<impute::Algorithm>> Adarts::RecommendRanked(
-    const ts::TimeSeries& faulty) const {
-  TraceSpan span("recommend.series");
-  ADARTS_ASSIGN_OR_RETURN(la::Vector f, extractor_.Extract(faulty));
-  std::vector<impute::Algorithm> out;
-  for (int cls : recommender_.Ranking(f)) {
-    if (cls < 0 || static_cast<std::size_t>(cls) >= pool_.size()) {
-      return Status::Internal("ranked class outside the algorithm pool");
-    }
-    out.push_back(pool_[static_cast<std::size_t>(cls)]);
-  }
-  return out;
-}
-
-Result<ts::TimeSeries> Adarts::Repair(const ts::TimeSeries& faulty) const {
-  ExecContext ctx;
-  return Repair(faulty, ctx);
-}
-
 Result<ts::TimeSeries> Adarts::Repair(const ts::TimeSeries& faulty,
                                       ExecContext& ctx) const {
   if (!faulty.HasMissing()) return faulty;
@@ -563,16 +459,6 @@ Result<ts::TimeSeries> Adarts::Repair(const ts::TimeSeries& faulty,
   ctx.metrics().Increment("repair.fallback_linear_interp");
   return impute::CreateImputer(impute::Algorithm::kLinearInterp)
       ->Impute(faulty);
-}
-
-Result<std::vector<ts::TimeSeries>> Adarts::RepairSet(
-    const std::vector<ts::TimeSeries>& faulty_set,
-    const RecommendBatchOptions& options) const {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  ExecContext ctx(options.num_threads, options.cancel);
-#pragma GCC diagnostic pop
-  return RepairSet(faulty_set, options, ctx);
 }
 
 Result<std::vector<ts::TimeSeries>> Adarts::RepairSet(

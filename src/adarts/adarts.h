@@ -32,33 +32,6 @@ struct TrainOptions {
   /// rest is the race's evaluation set T (the paper trains on e.g. 80%).
   double race_train_fraction = 0.9;
   std::uint64_t seed = 17;
-  /// Worker threads shared by the training phases (clustering, exhaustive
-  /// labeling, corpus feature extraction, ModelRace candidate evaluation,
-  /// committee refits). Ignored when an explicit `ExecContext` is passed —
-  /// the context's pool is used instead. The trained engine and its
-  /// recommendations are bit-identical for every value; see the determinism
-  /// contract in common/thread_pool.h.
-  [[deprecated("pass an ExecContext to Adarts::Train instead")]] std::size_t
-      num_threads = 0;
-  /// Optional cooperative cancellation/deadline token, polled between
-  /// training phases and inside the parallel loops. Not owned; must outlive
-  /// Train. Ignored when an explicit `ExecContext` is passed — the
-  /// context's token is used instead (DESIGN.md §7).
-  [[deprecated(
-      "pass an ExecContext (carrying the token) to Adarts::Train "
-      "instead")]] const CancellationToken* cancel = nullptr;
-
-  // Spelled-out defaulted special members inside a diagnostic guard:
-  // default-constructing/copying the options must not itself warn about the
-  // deprecated fields — only direct reads and writes of them do.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  TrainOptions() = default;
-  TrainOptions(const TrainOptions&) = default;
-  TrainOptions& operator=(const TrainOptions&) = default;
-  TrainOptions(TrainOptions&&) = default;
-  TrainOptions& operator=(TrainOptions&&) = default;
-#pragma GCC diagnostic pop
 };
 
 /// Configuration for incremental corpus growth (`Adarts::AppendSeries`).
@@ -134,46 +107,36 @@ struct TrainReport {
 /// calls for every thread count — the committee is read-only at inference
 /// time and each series owns one result slot.
 struct RecommendBatchOptions {
-  /// Worker threads for the batch loop. Ignored when an explicit
-  /// `ExecContext` is passed — the context's pool is used instead.
-  [[deprecated(
-      "pass an ExecContext to RecommendBatch/RepairSet instead")]] std::size_t
-      num_threads = 0;
   /// true (the default): any per-series failure fails the whole batch with
   /// an aggregate error naming every failed series index. false: failed
   /// series degrade to the engine's corpus-majority default algorithm and
   /// the batch succeeds (`RecommendBatchPartial` exposes the per-series
   /// statuses when the caller needs them).
   bool fail_fast = true;
-  /// Optional cooperative cancellation/deadline token polled inside the
-  /// batch loop. Not owned; must outlive the call. Ignored when an explicit
-  /// `ExecContext` is passed — the context's token is used instead.
-  [[deprecated(
-      "pass an ExecContext (carrying the token) to RecommendBatch/RepairSet "
-      "instead")]] const CancellationToken* cancel = nullptr;
-
-  // See TrainOptions: copying the options must not warn by itself.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  RecommendBatchOptions() = default;
-  RecommendBatchOptions(const RecommendBatchOptions&) = default;
-  RecommendBatchOptions& operator=(const RecommendBatchOptions&) = default;
-  RecommendBatchOptions(RecommendBatchOptions&&) = default;
-  RecommendBatchOptions& operator=(RecommendBatchOptions&&) = default;
-#pragma GCC diagnostic pop
 };
 
-/// One recommendation with its health report: which algorithm won, and how
-/// far down the degradation ladder the vote had to fall to produce it.
+/// One recommendation with everything the inference path learned while
+/// making it: the winner, the full ranking, the vote's health report, and
+/// where the time went. Every recommend entry point builds exactly one of
+/// these through `Adarts::RecommendEx`, so the top pick, the ranking and
+/// the recorded metrics cannot disagree.
 struct Recommendation {
   impute::Algorithm algorithm = impute::Algorithm{};
+  /// Every pool algorithm, best first (the basis of Recall@k and MRR),
+  /// ordered by the same degradation ladder as `algorithm`: descending
+  /// soft-vote probability with ties kept in pool order, or — when every
+  /// committee member failed — the corpus-majority default first and the
+  /// rest in pool order. `ranking.front() == algorithm` always.
+  std::vector<impute::Algorithm> ranking;
   automl::DegradationLevel degradation =
       automl::DegradationLevel::kFullCommittee;
   automl::VoteDiagnostics vote;
-  /// Per-call stage breakdown: `recommend.extract_seconds` /
-  /// `recommend.vote_seconds` spans plus the `recommend.degradation_rung`
-  /// and `vote.members_failed` counters (DESIGN.md §8).
-  StageMetrics stages;
+  /// Wall-clock of the two inference layers: feature extraction and the
+  /// committee vote. Recorded as the `recommend.extract_seconds` /
+  /// `recommend.vote_seconds` spans by the context-taking entry points
+  /// (DESIGN.md §8).
+  double extract_seconds = 0.0;
+  double vote_seconds = 0.0;
 };
 
 /// The A-DARTS recommendation engine: train once on a corpus of series,
@@ -181,31 +144,26 @@ struct Recommendation {
 /// series. See Fig. 2 of the paper for the component flow this class wires
 /// together: clustering -> labeling -> feature extraction -> ModelRace ->
 /// soft-voting recommendation.
+///
+/// One signature per operation (DESIGN.md §8): a call takes an
+/// `ExecContext&` exactly when it runs work on a thread pool, polls a
+/// cancellation token or records metrics. The pure per-series reads —
+/// `RecommendEx`, `ExtractFeatures`, `PredictProba` — take none.
 class Adarts {
  public:
   /// Trains the engine on a corpus of complete series. The corpus series
-  /// must share one length (the imputation bench runs set-wise).
-  static Result<Adarts> Train(const std::vector<ts::TimeSeries>& corpus,
-                              const TrainOptions& options = {});
-
-  /// Context variant — the preferred entry point: every training phase
-  /// shares `ctx`'s one lazily-built pool, polls its cancellation token,
-  /// and records its stage spans/counters into `ctx`'s metrics; the final
-  /// snapshot lands in the engine's `train_report()`. The legacy overload
-  /// delegates here with a default context built from the deprecated
-  /// `num_threads`/`cancel` fields.
+  /// must share one length (the imputation bench runs set-wise). Every
+  /// training phase shares `ctx`'s one lazily-built pool, polls its
+  /// cancellation token, and records its stage spans/counters into `ctx`'s
+  /// metrics; the final snapshot lands in the engine's `train_report()`.
+  /// The trained engine is bit-identical for every thread count (see the
+  /// determinism contract in common/thread_pool.h).
   static Result<Adarts> Train(const std::vector<ts::TimeSeries>& corpus,
                               const TrainOptions& options, ExecContext& ctx);
 
   /// Trains the recommendation engine from an already-labeled dataset
   /// (labels index `pool`). Used by the benches that control labeling.
-  static Result<Adarts> TrainFromLabeled(
-      const ml::Dataset& labeled, const std::vector<impute::Algorithm>& pool,
-      const features::FeatureExtractorOptions& feature_options,
-      const automl::ModelRaceOptions& race_options, std::uint64_t seed = 17);
-
-  /// Context variant of `TrainFromLabeled`; same contract as the context
-  /// variant of `Train`.
+  /// Same context contract as `Train`.
   static Result<Adarts> TrainFromLabeled(
       const ml::Dataset& labeled, const std::vector<impute::Algorithm>& pool,
       const features::FeatureExtractorOptions& feature_options,
@@ -219,21 +177,16 @@ class Adarts {
   /// committee is rebuilt by a ModelRace warm-started from the engine's
   /// surviving elites. Orders of magnitude cheaper than a full retrain —
   /// the bench records the speedup and labeling agreement in
-  /// EXPERIMENTS.md. On success the engine's version bumps by one (so a
-  /// subsequent Save + SIGHUP hot-swaps cleanly) and `train_report()` holds
-  /// the update's `update.*` spans and counters (`update.assigned`,
-  /// `update.splits`, `update.race_warm_hits`). On failure the engine is
-  /// unchanged: every mutation happens on copies committed only after the
-  /// last fallible step. Requires growth state
+  /// EXPERIMENTS.md. Assignment, labeling, feature extraction and the race
+  /// share `ctx`'s pool and token. On success the engine's version bumps by
+  /// one (so a subsequent Save + SIGHUP hot-swaps cleanly) and
+  /// `train_report()` holds the update's `update.*` spans and counters
+  /// (`update.assigned`, `update.splits`, `update.race_warm_hits`). On
+  /// failure the engine is unchanged: every mutation happens on copies
+  /// committed only after the last fallible step. Requires growth state
   /// (`has_growth_state()`) — engines from `TrainFromLabeled`, exhaustive
   /// labeling, or pre-growth snapshots are rejected with
   /// FailedPrecondition.
-  Status AppendSeries(const std::vector<ts::TimeSeries>& delta,
-                      const UpdateOptions& options = {});
-
-  /// Context variant — preferred: assignment, labeling, feature extraction
-  /// and the warm-started race share `ctx`'s pool and token, and the
-  /// `update.*` metrics accumulate in `ctx`'s registry.
   Status AppendSeries(const std::vector<ts::TimeSeries>& delta,
                       const UpdateOptions& options, ExecContext& ctx);
 
@@ -242,88 +195,57 @@ class Adarts {
   const GrowthState& growth_state() const { return growth_; }
   bool has_growth_state() const { return growth_.present; }
 
-  /// Best imputation algorithm for a faulty series. Degrades gracefully:
-  /// committee members that emit malformed probabilities are skipped, and
-  /// when every member fails the corpus-majority default algorithm is
-  /// returned (see `RecommendEx` for the degradation report). Only feature
-  /// extraction failures surface as errors.
-  Result<impute::Algorithm> Recommend(const ts::TimeSeries& faulty) const;
-
-  /// Context variant: additionally accumulates the per-request counters
-  /// (`recommend.requests`, `recommend.degraded`, `vote.members_failed`)
-  /// and stage spans into `ctx`'s metrics.
-  Result<impute::Algorithm> Recommend(const ts::TimeSeries& faulty,
-                                      ExecContext& ctx) const;
-
-  /// `Recommend` plus the degradation diagnostics: how many committee
-  /// members voted and which rung of the ladder (full committee → partial
-  /// committee → single elite → default class) produced the answer.
+  /// The recommend core: extracts features, soft-votes the committee and
+  /// walks the degradation ladder. Committee members that emit malformed
+  /// probabilities are skipped (full committee → partial committee →
+  /// single elite), and when every member fails the corpus-majority
+  /// default algorithm is returned (default class). Only feature
+  /// extraction failures surface as errors. A pure read: it records
+  /// nothing, so ranking and explanation callers use it directly.
   Result<Recommendation> RecommendEx(const ts::TimeSeries& faulty) const;
 
-  /// Context variant of `RecommendEx`; see `Recommend(faulty, ctx)`.
-  Result<Recommendation> RecommendEx(const ts::TimeSeries& faulty,
-                                     ExecContext& ctx) const;
+  /// `RecommendEx(faulty).algorithm`, with the request recorded in `ctx`'s
+  /// metrics: the `recommend.requests` counter and `recommend.latency`
+  /// histogram for every call, and for successful ones the
+  /// `recommend.degraded` and `vote.members_failed` counters plus the
+  /// `recommend.extract_seconds` / `recommend.vote_seconds` spans.
+  Result<impute::Algorithm> Recommend(const ts::TimeSeries& faulty,
+                                      ExecContext& ctx) const;
 
   /// Best imputation algorithm for every series of `batch`, in input order
   /// (`out[i]` is the recommendation for `batch[i]`; an empty batch yields
   /// an empty vector). Feature extraction and committee voting fan out over
-  /// a pool sized by `options.num_threads`; element `i` equals
-  /// `Recommend(batch[i])` bit-for-bit at every thread count. With the
-  /// default `options.fail_fast` any failed series fails the call with one
-  /// aggregate error naming every failed index; with `fail_fast = false`
-  /// failed series fall back to the corpus-majority default algorithm.
-  Result<std::vector<impute::Algorithm>> RecommendBatch(
-      const std::vector<ts::TimeSeries>& batch,
-      const RecommendBatchOptions& options = {}) const;
-
-  /// Context variant: the batch fans out on `ctx`'s shared pool, honours
-  /// its cancellation token, and the per-request counters accumulate in
-  /// `ctx`'s metrics through pre-registered lock-free handles.
+  /// `ctx`'s shared pool and honour its cancellation token; element `i`
+  /// equals `Recommend(batch[i], ctx)` bit-for-bit at every thread count,
+  /// and each series is recorded in `ctx`'s metrics exactly as `Recommend`
+  /// records it. With the default `options.fail_fast` any failed series
+  /// fails the call with one aggregate error naming every failed index;
+  /// with `fail_fast = false` failed series fall back to the
+  /// corpus-majority default algorithm.
   Result<std::vector<impute::Algorithm>> RecommendBatch(
       const std::vector<ts::TimeSeries>& batch,
       const RecommendBatchOptions& options, ExecContext& ctx) const;
 
   /// Per-series recommendations that never fail the batch: `out[i]` holds
   /// either `batch[i]`'s recommendation or that series' own error status
-  /// (cancelled slots report the cancellation status). Input order.
+  /// (cancelled slots report the cancellation status). Input order; same
+  /// pool, token and metrics as `RecommendBatch`.
   std::vector<Result<impute::Algorithm>> RecommendBatchPartial(
-      const std::vector<ts::TimeSeries>& batch,
-      const RecommendBatchOptions& options = {}) const;
+      const std::vector<ts::TimeSeries>& batch, ExecContext& ctx) const;
 
-  /// Context variant of `RecommendBatchPartial`; see the context variant of
-  /// `RecommendBatch`.
-  std::vector<Result<impute::Algorithm>> RecommendBatchPartial(
-      const std::vector<ts::TimeSeries>& batch,
-      const RecommendBatchOptions& options, ExecContext& ctx) const;
-
-  /// Full ranking, best first (the basis of the MRR metric).
-  Result<std::vector<impute::Algorithm>> RecommendRanked(
-      const ts::TimeSeries& faulty) const;
-
-  /// Context variant: counts the request in `ctx`'s metrics.
-  Result<std::vector<impute::Algorithm>> RecommendRanked(
-      const ts::TimeSeries& faulty, ExecContext& ctx) const;
-
-  /// Recommends and applies the winning algorithm to one series. When the
-  /// winner's fit fails on this input, logs a warning and falls back to
-  /// linear interpolation (which accepts any series with >= 1 observation).
-  Result<ts::TimeSeries> Repair(const ts::TimeSeries& faulty) const;
-
-  /// Context variant: per-request counters plus
-  /// `repair.fallback_linear_interp` accumulate in `ctx`'s metrics.
+  /// Recommends (through `Recommend`, so the request is recorded the same
+  /// way) and applies the winning algorithm to one series. When the
+  /// winner's fit fails on this input, logs a warning, counts
+  /// `repair.fallback_linear_interp` and falls back to linear
+  /// interpolation (which accepts any series with >= 1 observation).
   Result<ts::TimeSeries> Repair(const ts::TimeSeries& faulty,
                                 ExecContext& ctx) const;
 
   /// Recommends on the set (majority of per-series recommendations, batched
-  /// via `RecommendBatch`) and repairs every series with the winning
-  /// algorithm. Vote ties are broken deterministically toward the algorithm
-  /// with the smallest id in the engine's pool ordering.
-  Result<std::vector<ts::TimeSeries>> RepairSet(
-      const std::vector<ts::TimeSeries>& faulty_set,
-      const RecommendBatchOptions& options = {}) const;
-
-  /// Context variant: batched recommendation runs on `ctx`'s shared pool
-  /// and the set-level imputer's `FitDiagnostics` feed `ctx`'s metrics
+  /// via `RecommendBatch` on `ctx`'s pool) and repairs every series with
+  /// the winning algorithm. Vote ties are broken deterministically toward
+  /// the algorithm with the smallest id in the engine's pool ordering. The
+  /// set-level imputer's `FitDiagnostics` feed `ctx`'s metrics
   /// (`repair.impute_iterations`, `repair.impute_not_converged`,
   /// `repair.fallback_linear_interp`).
   Result<std::vector<ts::TimeSeries>> RepairSet(
@@ -398,6 +320,13 @@ class Adarts {
   /// Majority training label over `training_data_` (first/smallest label on
   /// ties); called from the constructor and after AppendSeries commits.
   void RecomputeDefaultClass();
+
+  /// The one accounting path of the recommend entry points: runs
+  /// `RecommendEx` under the `recommend.series` trace span and records the
+  /// outcome into `ctx`'s metrics (see `Recommend`). Thread-safe: the batch
+  /// loop calls it from every pool worker.
+  Result<Recommendation> RecommendAndRecord(const ts::TimeSeries& faulty,
+                                            ExecContext& ctx) const;
 
   features::FeatureExtractor extractor_;
   automl::VotingRecommender recommender_;

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "automl/synthesizer.h"
-#include "common/cancellation.h"
 #include "common/exec_context.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
@@ -401,16 +400,6 @@ Result<ModelRaceReport> RunModelRaceImpl(const ml::Dataset& train,
 }
 
 }  // namespace
-
-Result<ModelRaceReport> RunModelRace(const ml::Dataset& train,
-                                     const ml::Dataset& test,
-                                     const ModelRaceOptions& options) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  ExecContext ctx(options.num_threads, options.cancel);
-#pragma GCC diagnostic pop
-  return RunModelRace(train, test, options, ctx);
-}
 
 Result<ModelRaceReport> RunModelRace(const ml::Dataset& train,
                                      const ml::Dataset& test,

@@ -11,7 +11,6 @@
 #include "ml/dataset.h"
 
 namespace adarts {
-class CancellationToken;
 class ExecContext;
 }  // namespace adarts
 
@@ -45,38 +44,12 @@ struct ModelRaceOptions {
   /// Cap on the number of surviving pipelines per iteration.
   std::size_t max_survivors = 10;
   std::uint64_t seed = 7;
-  /// Worker threads for the per-fold candidate evaluations. Ignored when an
-  /// explicit `ExecContext` is passed — the context's pool is used instead.
-  /// Reports and elites are bit-identical for every value (timing fields
-  /// aside); see the determinism contract in common/thread_pool.h.
-  [[deprecated(
-      "pass an ExecContext to RunModelRace instead")]] std::size_t
-      num_threads = 0;
   /// Per-candidate wall-clock budget for a single fold evaluation
   /// (fit + predict), in seconds. A candidate that exceeds it is recorded
   /// as timed out and leaves the race. 0 (the default) disables the budget.
   /// Enabling it makes elimination wall-clock-dependent, which forfeits
   /// bit-determinism across runs and thread counts (DESIGN.md §7).
   double candidate_budget_seconds = 0.0;
-  /// Optional cooperative cancellation/deadline token, polled between
-  /// iterations and folds and inside the parallel evaluation loop. Not
-  /// owned; must outlive the race. Ignored when an explicit `ExecContext`
-  /// is passed — the context's token is used instead.
-  [[deprecated(
-      "pass an ExecContext (carrying the token) to RunModelRace "
-      "instead")]] const CancellationToken* cancel = nullptr;
-
-  // Spelled-out defaulted special members inside a diagnostic guard:
-  // default-constructing/copying the options must not itself warn about the
-  // deprecated fields — only direct reads and writes of them do.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  ModelRaceOptions() = default;
-  ModelRaceOptions(const ModelRaceOptions&) = default;
-  ModelRaceOptions& operator=(const ModelRaceOptions&) = default;
-  ModelRaceOptions(ModelRaceOptions&&) = default;
-  ModelRaceOptions& operator=(ModelRaceOptions&&) = default;
-#pragma GCC diagnostic pop
 };
 
 /// A pipeline together with its accumulated race statistics.
@@ -136,18 +109,14 @@ struct ModelRaceReport {
 /// fold, scores with the weighted F1/R@3/runtime objective, early-terminates
 /// stragglers per fold, and prunes statistically redundant pipelines per
 /// iteration. `train` provides the partial sets; `test` is the fixed
-/// evaluation set T of Algorithm 1.
-Result<ModelRaceReport> RunModelRace(const ml::Dataset& train,
-                                     const ml::Dataset& test,
-                                     const ModelRaceOptions& options = {});
-
-/// Context variant: fold evaluations fan out on `ctx`'s shared pool, the
-/// context's cancellation token is polled at the documented sites, and
+/// evaluation set T of Algorithm 1. Fold evaluations fan out on `ctx`'s
+/// shared pool, the context's cancellation token is polled between
+/// iterations and folds and inside the parallel evaluation loop, and
 /// `ctx`'s metrics gain the `race.total_seconds` span plus the
 /// `race.pipelines_evaluated` / `race.pipelines_eliminated` /
-/// `race.pipelines_timed_out` counters. The legacy overload delegates here
-/// with a default context built from the deprecated `num_threads`/`cancel`
-/// fields.
+/// `race.pipelines_timed_out` counters. Reports and elites are
+/// bit-identical for every thread count (timing fields aside); see the
+/// determinism contract in common/thread_pool.h.
 Result<ModelRaceReport> RunModelRace(const ml::Dataset& train,
                                      const ml::Dataset& test,
                                      const ModelRaceOptions& options,

@@ -22,11 +22,8 @@ namespace {
 std::vector<TrainedPipeline> FitElites(const ModelRaceReport& report,
                                        const std::vector<std::size_t>& selected,
                                        const ml::Dataset& full_train,
-                                       ThreadPool* pool, Metrics* metrics) {
-  // Nullable registry: the pool-only FromRace overload has no context to
-  // record into, so the histogram handle degrades to nothing.
-  LatencyHistogram* const refit_hist =
-      metrics == nullptr ? nullptr : metrics->histogram("committee.refit");
+                                       ThreadPool* pool, Metrics& metrics) {
+  LatencyHistogram* const refit_hist = metrics.histogram("committee.refit");
   std::vector<std::optional<TrainedPipeline>> fits(selected.size());
   ParallelFor(pool, selected.size(), [&](std::size_t s) {
     TraceSpan span("committee.refit");
@@ -35,7 +32,7 @@ std::vector<TrainedPipeline> FitElites(const ModelRaceReport& report,
     }
     Stopwatch watch;
     auto fitted = FitPipeline(report.elites[selected[s]].spec, full_train);
-    if (refit_hist != nullptr) refit_hist->RecordSeconds(watch.ElapsedSeconds());
+    refit_hist->RecordSeconds(watch.ElapsedSeconds());
     if (fitted.ok()) fits[s] = std::move(*fitted);
   });
   std::vector<TrainedPipeline> committee;
@@ -46,14 +43,20 @@ std::vector<TrainedPipeline> FitElites(const ModelRaceReport& report,
   return committee;
 }
 
-/// Shared implementation of the two FromRace overloads: `metrics` is the
-/// optional registry the per-elite refit latencies stream into.
-Result<VotingRecommender> FromRaceImpl(const ModelRaceReport& report,
-                                       const ml::Dataset& full_train,
-                                       ThreadPool* pool, Metrics* metrics) {
+}  // namespace
+
+Result<VotingRecommender> VotingRecommender::FromRace(
+    const ModelRaceReport& report, const ml::Dataset& full_train,
+    ExecContext& ctx) {
+  StageTimer timer(&ctx.metrics(), "train.committee_seconds");
   ADARTS_RETURN_NOT_OK(full_train.Validate());
   if (report.elites.empty()) {
     return Status::InvalidArgument("race produced no elites");
+  }
+  // Serial contexts never construct the shared pool; parallel ones reuse it.
+  ThreadPool* pool = nullptr;
+  if (ThreadPool::ResolveThreadCount(ctx.num_threads()) > 1) {
+    pool = &ctx.pool();
   }
   // Quality gate: diversity helps the vote only among pipelines of
   // comparable strength; stragglers that survived the t-test's ambiguity
@@ -67,38 +70,18 @@ Result<VotingRecommender> FromRaceImpl(const ModelRaceReport& report,
     if (report.elites[i].mean_score >= best_score - 0.1) gated.push_back(i);
   }
   std::vector<TrainedPipeline> committee =
-      FitElites(report, gated, full_train, pool, metrics);
+      FitElites(report, gated, full_train, pool, ctx.metrics());
   if (committee.empty()) {
     // Gate removed everything fit-able: fall back to the ungated elites.
     std::vector<std::size_t> all(report.elites.size());
     std::iota(all.begin(), all.end(), 0);
-    committee = FitElites(report, all, full_train, pool, metrics);
+    committee = FitElites(report, all, full_train, pool, ctx.metrics());
   }
   if (committee.empty()) {
     return Status::Internal("no elite pipeline could be fitted on full data");
   }
   return VotingRecommender::FromPipelines(std::move(committee),
                                           full_train.num_classes);
-}
-
-}  // namespace
-
-Result<VotingRecommender> VotingRecommender::FromRace(
-    const ModelRaceReport& report, const ml::Dataset& full_train,
-    ThreadPool* pool) {
-  return FromRaceImpl(report, full_train, pool, nullptr);
-}
-
-Result<VotingRecommender> VotingRecommender::FromRace(
-    const ModelRaceReport& report, const ml::Dataset& full_train,
-    ExecContext& ctx) {
-  StageTimer timer(&ctx.metrics(), "train.committee_seconds");
-  // Serial contexts never construct the shared pool; parallel ones reuse it.
-  ThreadPool* pool = nullptr;
-  if (ThreadPool::ResolveThreadCount(ctx.num_threads()) > 1) {
-    pool = &ctx.pool();
-  }
-  return FromRaceImpl(report, full_train, pool, &ctx.metrics());
 }
 
 Result<VotingRecommender> VotingRecommender::FromPipelines(
@@ -155,28 +138,6 @@ la::Vector VotingRecommender::PredictProba(const la::Vector& features,
   if (voters == 0) return {};
   for (double& v : acc) v /= static_cast<double>(voters);
   return acc;
-}
-
-int VotingRecommender::Recommend(const la::Vector& features) const {
-  const la::Vector p = PredictProba(features);
-  if (p.empty()) return 0;  // total vote failure; callers wanting the full
-                            // ladder use PredictProba + diagnostics
-  return static_cast<int>(std::max_element(p.begin(), p.end()) - p.begin());
-}
-
-std::vector<int> VotingRecommender::Ranking(const la::Vector& features) const {
-  const la::Vector p = PredictProba(features);
-  if (p.empty()) {
-    std::vector<int> order(static_cast<std::size_t>(num_classes_));
-    std::iota(order.begin(), order.end(), 0);
-    return order;
-  }
-  std::vector<int> order(p.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return p[static_cast<std::size_t>(a)] > p[static_cast<std::size_t>(b)];
-  });
-  return order;
 }
 
 }  // namespace adarts::automl

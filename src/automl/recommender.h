@@ -10,7 +10,6 @@
 
 namespace adarts {
 class ExecContext;
-class ThreadPool;
 }  // namespace adarts
 
 namespace adarts::automl {
@@ -39,17 +38,12 @@ struct VoteDiagnostics {
 class VotingRecommender {
  public:
   /// Fits every elite of `report` on `full_train` and assembles the voter.
-  /// Elite refits are independent; with a `pool` they run concurrently, each
-  /// into its own slot, and the committee is collected in elite order in a
-  /// serial post-pass — the assembled voter is bit-identical to the serial
-  /// one for every pool size (nullptr runs serially).
-  static Result<VotingRecommender> FromRace(const ModelRaceReport& report,
-                                            const ml::Dataset& full_train,
-                                            ThreadPool* pool = nullptr);
-
-  /// Context variant: refits run on `ctx`'s shared pool and the wall-clock
-  /// accumulates into the `train.committee_seconds` span of `ctx`'s metrics.
-  /// Same bit-identity contract as the pool overload.
+  /// Elite refits are independent: they run concurrently on `ctx`'s shared
+  /// pool, each into its own slot, and the committee is collected in elite
+  /// order in a serial post-pass — the assembled voter is bit-identical for
+  /// every thread count. The wall-clock accumulates into the
+  /// `train.committee_seconds` span of `ctx`'s metrics and each refit into
+  /// the `committee.refit` histogram.
   static Result<VotingRecommender> FromRace(const ModelRaceReport& report,
                                             const ml::Dataset& full_train,
                                             ExecContext& ctx);
@@ -63,15 +57,10 @@ class VotingRecommender {
   /// average is taken over the survivors; `diagnostics` (optional) reports
   /// how many members contributed and the resulting degradation level. An
   /// empty return vector means every member failed — the caller must fall
-  /// back (kDefaultClass); see Adarts::RecommendEx for the full ladder.
+  /// back (kDefaultClass); `Adarts::RecommendEx` walks the full ladder and
+  /// derives the top pick and the ranking from this one vector.
   la::Vector PredictProba(const la::Vector& features,
                           VoteDiagnostics* diagnostics = nullptr) const;
-
-  /// The recommended class (argmax of the soft vote).
-  int Recommend(const la::Vector& features) const;
-
-  /// Classes sorted by descending soft-vote probability (for MRR).
-  std::vector<int> Ranking(const la::Vector& features) const;
 
   std::size_t committee_size() const { return committee_.size(); }
   const std::vector<TrainedPipeline>& committee() const { return committee_; }

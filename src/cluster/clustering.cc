@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/exec_context.h"
-#include "common/thread_pool.h"
 #include "ts/correlation.h"
 
 namespace adarts::cluster {
@@ -16,11 +15,6 @@ std::vector<std::size_t> Clustering::Assignments(std::size_t n) const {
     for (std::size_t i : clusters[c]) out[i] = c;
   }
   return out;
-}
-
-la::Matrix PairwiseCorrelationMatrix(
-    const std::vector<ts::TimeSeries>& series) {
-  return PairwiseCorrelationMatrix(series, nullptr);
 }
 
 std::pair<std::size_t, std::size_t> PairFromIndex(std::size_t k, std::size_t n) {
@@ -39,21 +33,6 @@ std::pair<std::size_t, std::size_t> PairFromIndex(std::size_t k, std::size_t n) 
   while (row + 2 < n && before(row + 1) <= k) ++row;
   const std::size_t col = row + 1 + (k - before(row));
   return {row, col};
-}
-
-la::Matrix PairwiseCorrelationMatrix(const std::vector<ts::TimeSeries>& series,
-                                     ThreadPool* pool) {
-  const std::size_t n = series.size();
-  la::Matrix corr(n, n);
-  for (std::size_t i = 0; i < n; ++i) corr(i, i) = 1.0;
-  const std::size_t num_pairs = n < 2 ? 0 : n * (n - 1) / 2;
-  ParallelFor(pool, num_pairs, [&](std::size_t k) {
-    const auto [i, j] = PairFromIndex(k, n);
-    const double c = ts::Pearson(series[i], series[j]);
-    corr(i, j) = c;
-    corr(j, i) = c;
-  });
-  return corr;
 }
 
 la::Matrix PairwiseCorrelationMatrix(const std::vector<ts::TimeSeries>& series,

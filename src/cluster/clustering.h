@@ -11,7 +11,6 @@
 
 namespace adarts {
 class ExecContext;
-class ThreadPool;
 }  // namespace adarts
 
 namespace adarts::cluster {
@@ -27,21 +26,13 @@ struct Clustering {
 };
 
 /// Pairwise Pearson correlation matrix of a series set (symmetric, unit
-/// diagonal). The labeling pipeline computes this once and reuses it.
-la::Matrix PairwiseCorrelationMatrix(const std::vector<ts::TimeSeries>& series);
-
-/// Pool-backed variant: fans the n*(n-1)/2 upper-triangle pairs out over
-/// `pool` (nullptr or a size-1 pool runs serially). Each task owns exactly
-/// one pair index k, decoded to (i, j) with `PairFromIndex`, and writes only
-/// the two mirrored slots (i, j) / (j, i) — the matrix is bit-identical to
-/// the serial pass for every thread count.
-la::Matrix PairwiseCorrelationMatrix(const std::vector<ts::TimeSeries>& series,
-                                     ThreadPool* pool);
-
-/// Context variant: runs on `ctx`'s shared pool (serial contexts never
-/// construct one) and accumulates the wall-clock into the
-/// `cluster.correlation_seconds` span of `ctx`'s metrics. Same bit-identity
-/// contract as the pool overload.
+/// diagonal). The labeling pipeline computes this once and reuses it. The
+/// n*(n-1)/2 upper-triangle pairs fan out over `ctx`'s shared pool (serial
+/// contexts never construct one); each task owns exactly one pair index k,
+/// decoded to (i, j) with `PairFromIndex`, and writes only the two mirrored
+/// slots (i, j) / (j, i) — the matrix is bit-identical for every thread
+/// count. The wall-clock accumulates into the `cluster.correlation_seconds`
+/// span of `ctx`'s metrics.
 la::Matrix PairwiseCorrelationMatrix(const std::vector<ts::TimeSeries>& series,
                                      ExecContext& ctx);
 

@@ -8,7 +8,6 @@
 #include "cluster/kshape.h"
 #include "common/exec_context.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "la/vector_ops.h"
 #include "ts/correlation.h"
@@ -55,16 +54,6 @@ std::size_t BestPartner(const std::vector<std::size_t>& source,
 }
 
 }  // namespace
-
-Result<Clustering> IncrementalClustering(
-    const std::vector<ts::TimeSeries>& series,
-    const IncrementalOptions& options) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  ExecContext ctx(options.num_threads);
-#pragma GCC diagnostic pop
-  return IncrementalClustering(series, options, ctx);
-}
 
 Result<Clustering> IncrementalClustering(
     const std::vector<ts::TimeSeries>& series,

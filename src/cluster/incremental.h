@@ -23,42 +23,19 @@ struct IncrementalOptions {
   /// while the merged cluster stays above slack * threshold.
   double merge_correlation_slack = 0.85;
   std::uint64_t seed = 1;
-  /// Worker threads for the correlation matrix and the refinement phase's
-  /// per-candidate gain evaluation. Ignored when an explicit `ExecContext`
-  /// is passed — the context's pool is used instead. Clusterings are
-  /// bit-identical for every value; see the determinism contract in
-  /// common/thread_pool.h.
-  [[deprecated(
-      "pass an ExecContext to IncrementalClustering instead")]] std::size_t
-      num_threads = 0;
-
-  // Spelled-out defaulted special members inside a diagnostic guard:
-  // default-constructing/copying the options must not itself warn about the
-  // deprecated field — only direct reads and writes of it do.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  IncrementalOptions() = default;
-  IncrementalOptions(const IncrementalOptions&) = default;
-  IncrementalOptions& operator=(const IncrementalOptions&) = default;
-  IncrementalOptions(IncrementalOptions&&) = default;
-  IncrementalOptions& operator=(IncrementalOptions&&) = default;
-#pragma GCC diagnostic pop
 };
 
 /// Two-phase incremental clustering: (1) recursively split clusters whose
 /// average correlation is below the threshold; (2) merge small clusters and
 /// move individual series guided by the correlation gain of Definition 1,
-/// never letting a merge drop a cluster below the threshold.
-Result<Clustering> IncrementalClustering(
-    const std::vector<ts::TimeSeries>& series,
-    const IncrementalOptions& options = {});
-
-/// Context variant: the correlation matrix and the refinement phase's gain
-/// evaluation run on `ctx`'s shared pool, the context's cancellation token
-/// is honoured between phases, and `ctx`'s metrics gain the
-/// `cluster.splits` / `cluster.merges` / `cluster.moves` counters plus the
-/// `cluster.correlation_seconds` span. The legacy overload delegates here
-/// with a default context built from the deprecated `num_threads` field.
+/// never letting a merge drop a cluster below the threshold. The
+/// correlation matrix and the refinement phase's gain evaluation run on
+/// `ctx`'s shared pool, the context's cancellation token is honoured
+/// between phases, and `ctx`'s metrics gain the `cluster.splits` /
+/// `cluster.merges` / `cluster.moves` counters plus the
+/// `cluster.correlation_seconds` span. Clusterings are bit-identical for
+/// every thread count; see the determinism contract in
+/// common/thread_pool.h.
 Result<Clustering> IncrementalClustering(
     const std::vector<ts::TimeSeries>& series,
     const IncrementalOptions& options, ExecContext& ctx);

@@ -28,7 +28,7 @@ namespace adarts {
 ///     every long phase and inside the cancel-aware parallel loops;
 ///   * the `Metrics` registry the stages record counters and wall-clock
 ///     spans into (`train.clustering_seconds`, `race.pipelines_eliminated`,
-///     `recommend.degradation_rung`, ...);
+///     `recommend.degraded`, ...);
 ///   * the deterministic RNG fork policy (`ForkRngs`): per-task child
 ///     generators are forked up front in index order on the calling thread,
 ///     which is what keeps every parallel stage bit-identical across thread
@@ -36,10 +36,16 @@ namespace adarts {
 ///
 /// A context is cheap to create, not copyable (it owns the pool), and safe
 /// to share across the stages of one run or across many runs — metrics
-/// accumulate, the pool is reused. `ExecContext&` replaces the deprecated
-/// per-options `num_threads` / `cancel` fields throughout the API; the old
-/// fields still work for one release by populating a temporary default
-/// context behind the scenes.
+/// accumulate, the pool is reused.
+///
+/// The API has one signature per operation under one rule: a call takes an
+/// `ExecContext&` exactly when it runs work on a thread pool, polls a
+/// cancellation token or records metrics (`Adarts::Train`, `Recommend`,
+/// `RecommendBatch`, `RunModelRace`, ...). Pure per-series reads
+/// (`Adarts::RecommendEx`, `ExtractFeatures`, `PredictProba`) take none.
+/// Options structs carry no thread count or token: a caller that wants a
+/// serial run passes `ExecContext(1)`, one with a deadline passes the token
+/// here.
 class ExecContext {
  public:
   /// A context with `num_threads` workers (0 = hardware concurrency, 1 =

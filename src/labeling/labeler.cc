@@ -112,15 +112,6 @@ Result<la::Vector> ScoreClusterRepresentatives(
 
 }  // namespace
 
-Result<LabelingResult> LabelSeriesFull(
-    const std::vector<ts::TimeSeries>& series, const LabelingOptions& options) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  ExecContext ctx(options.num_threads);
-#pragma GCC diagnostic pop
-  return LabelSeriesFull(series, options, ctx);
-}
-
 Result<LabelingResult> LabelSeriesFull(const std::vector<ts::TimeSeries>& series,
                                        const LabelingOptions& options,
                                        ExecContext& ctx) {
@@ -144,16 +135,6 @@ Result<LabelingResult> LabelSeriesFull(const std::vector<ts::TimeSeries>& series
     result.labels[i] = ArgMinRow(result.rmse, i);
   }
   return result;
-}
-
-Result<LabelingResult> LabelByClusters(
-    const std::vector<ts::TimeSeries>& series,
-    const cluster::Clustering& clustering, const LabelingOptions& options) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  ExecContext ctx(options.num_threads);
-#pragma GCC diagnostic pop
-  return LabelByClusters(series, clustering, options, ctx);
 }
 
 Result<LabelingResult> LabelByClusters(const std::vector<ts::TimeSeries>& series,

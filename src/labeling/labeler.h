@@ -23,26 +23,6 @@ struct LabelingOptions {
   /// Representatives benchmarked per cluster in the fast path.
   std::size_t representatives_per_cluster = 2;
   std::uint64_t seed = 42;
-  /// Worker threads for the per-algorithm imputation benchmark and, in the
-  /// cluster path, the pairwise correlation matrix behind representative
-  /// selection. Ignored when an explicit `ExecContext` is passed — the
-  /// context's pool is used instead. Labels and RMSE matrices are
-  /// bit-identical for every value.
-  [[deprecated(
-      "pass an ExecContext to LabelSeriesFull/LabelByClusters "
-      "instead")]] std::size_t num_threads = 0;
-
-  // Spelled-out defaulted special members inside a diagnostic guard:
-  // default-constructing/copying the options must not itself warn about the
-  // deprecated field — only direct reads and writes of it do.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  LabelingOptions() = default;
-  LabelingOptions(const LabelingOptions&) = default;
-  LabelingOptions& operator=(const LabelingOptions&) = default;
-  LabelingOptions(LabelingOptions&&) = default;
-  LabelingOptions& operator=(LabelingOptions&&) = default;
-#pragma GCC diagnostic pop
 };
 
 /// Output of a labeling pass.
@@ -67,14 +47,10 @@ struct LabelingResult {
 
 /// Ground-truth labeling: injects one missing pattern into every series,
 /// runs every algorithm over the whole set once, and labels each series with
-/// its per-series argmin-RMSE algorithm.
-Result<LabelingResult> LabelSeriesFull(const std::vector<ts::TimeSeries>& series,
-                                       const LabelingOptions& options = {});
-
-/// Context variant: the per-algorithm benchmark runs on `ctx`'s shared pool,
-/// the cancellation token is honoured, and the `label.imputation_runs`
-/// counter accumulates in `ctx`'s metrics. The legacy overload delegates
-/// here with a default context built from the deprecated `num_threads`.
+/// its per-series argmin-RMSE algorithm. The per-algorithm benchmark runs on
+/// `ctx`'s shared pool, the cancellation token is honoured, and the
+/// `label.imputation_runs` counter accumulates in `ctx`'s metrics. Labels
+/// and RMSE matrices are bit-identical for every thread count.
 Result<LabelingResult> LabelSeriesFull(const std::vector<ts::TimeSeries>& series,
                                        const LabelingOptions& options,
                                        ExecContext& ctx);
@@ -82,14 +58,10 @@ Result<LabelingResult> LabelSeriesFull(const std::vector<ts::TimeSeries>& series
 /// Fast labeling (Fig. 2, step 1): benchmarks only cluster representatives
 /// (correlation medoids) and propagates each cluster's winning algorithm to
 /// all members. Costs |clusters| * reps * |algorithms| runs instead of
-/// |series| * |algorithms|.
-Result<LabelingResult> LabelByClusters(
-    const std::vector<ts::TimeSeries>& series,
-    const cluster::Clustering& clustering, const LabelingOptions& options = {});
-
-/// Context variant of `LabelByClusters`; same contract as the context
-/// variant of `LabelSeriesFull` (shared pool, cancellation between
-/// clusters, `label.imputation_runs` metrics).
+/// |series| * |algorithms|. Same context contract as `LabelSeriesFull`
+/// (shared pool, cancellation between clusters, `label.imputation_runs`
+/// metrics); the representative-selection correlation matrix runs on the
+/// same pool.
 Result<LabelingResult> LabelByClusters(const std::vector<ts::TimeSeries>& series,
                                        const cluster::Clustering& clustering,
                                        const LabelingOptions& options,

@@ -50,14 +50,16 @@ TrainOptions TinyTrainOptions() {
 TEST(AdartsTrainPathsTest, ExhaustiveLabelingPathWorks) {
   TrainOptions opts = TinyTrainOptions();
   opts.use_cluster_labeling = false;  // LabelSeriesFull path
-  auto engine = Adarts::Train(TinyCorpus(), opts);
+  ExecContext ctx;
+  auto engine = Adarts::Train(TinyCorpus(), opts, ctx);
   ASSERT_TRUE(engine.ok()) << engine.status();
   EXPECT_GE(engine->committee_size(), 1u);
   EXPECT_EQ(engine->training_data().size(), TinyCorpus().size());
 }
 
 TEST(AdartsTrainPathsTest, TrainingDataRetainedAndValid) {
-  auto engine = Adarts::Train(TinyCorpus(), TinyTrainOptions());
+  ExecContext ctx;
+  auto engine = Adarts::Train(TinyCorpus(), TinyTrainOptions(), ctx);
   ASSERT_TRUE(engine.ok());
   EXPECT_TRUE(engine->training_data().Validate().ok());
   EXPECT_EQ(engine->training_data().dim(),
@@ -67,7 +69,8 @@ TEST(AdartsTrainPathsTest, TrainingDataRetainedAndValid) {
 TEST(AdartsTrainPathsTest, CustomFeatureOptionsPropagate) {
   TrainOptions opts = TinyTrainOptions();
   opts.features.topological = false;
-  auto engine = Adarts::Train(TinyCorpus(), opts);
+  ExecContext ctx;
+  auto engine = Adarts::Train(TinyCorpus(), opts, ctx);
   ASSERT_TRUE(engine.ok());
   EXPECT_FALSE(engine->feature_extractor().options().topological);
   // A recommendation still works with the reduced schema.
@@ -79,7 +82,7 @@ TEST(AdartsTrainPathsTest, CustomFeatureOptionsPropagate) {
       data::GenerateCategory(data::Category::kClimate, gopts)[0];
   Rng rng(3);
   ASSERT_TRUE(ts::InjectSingleBlock(12, &rng, &faulty).ok());
-  EXPECT_TRUE(engine->Recommend(faulty).ok());
+  EXPECT_TRUE(engine->Recommend(faulty, ctx).ok());
 }
 
 TEST(ModelRaceOptionsTest, MaxSurvivorsCapIsRespected) {
@@ -92,7 +95,8 @@ TEST(ModelRaceOptionsTest, MaxSurvivorsCapIsRespected) {
   opts.early_termination_margin = 1e9;
   opts.ttest_worse_pvalue = 0.0;
   opts.ttest_similarity_pvalue = 1.1;
-  auto report = automl::RunModelRace(train, test, opts);
+  ExecContext ctx;
+  auto report = automl::RunModelRace(train, test, opts, ctx);
   ASSERT_TRUE(report.ok());
   EXPECT_LE(report->elites.size(), 3u);
 }
@@ -105,8 +109,9 @@ TEST(ModelRaceOptionsTest, TinyEarlyTerminationMarginPrunesAggressively) {
   loose.early_termination_margin = 1e9;
   automl::ModelRaceOptions tight = loose;
   tight.early_termination_margin = 0.02;
-  auto loose_report = automl::RunModelRace(train, test, loose);
-  auto tight_report = automl::RunModelRace(train, test, tight);
+  ExecContext ctx;
+  auto loose_report = automl::RunModelRace(train, test, loose, ctx);
+  auto tight_report = automl::RunModelRace(train, test, tight, ctx);
   ASSERT_TRUE(loose_report.ok());
   ASSERT_TRUE(tight_report.ok());
   EXPECT_GT(tight_report->pipelines_pruned_early,
@@ -121,7 +126,8 @@ TEST(ModelRaceOptionsTest, ScoreCoefficientsAllZeroTimeStillRuns) {
   opts.num_seed_pipelines = 12;
   opts.num_partial_sets = 2;
   opts.gamma = 0.0;  // pure-effectiveness scoring
-  auto report = automl::RunModelRace(train, train, opts);
+  ExecContext ctx;
+  auto report = automl::RunModelRace(train, train, opts, ctx);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->elites.empty());
 }
@@ -139,7 +145,8 @@ TEST(CommitteeGateTest, GateDropsTrailingElites) {
   weak.spec = synth.SeedPipelines(2)[1];
   weak.mean_score = 0.3;
   report.elites = {strong, weak};
-  auto rec = automl::VotingRecommender::FromRace(report, train);
+  ExecContext ctx(1);
+  auto rec = automl::VotingRecommender::FromRace(report, train, ctx);
   ASSERT_TRUE(rec.ok());
   EXPECT_EQ(rec->committee_size(), 1u);
 }
@@ -155,7 +162,8 @@ TEST(CommitteeGateTest, CloseElitesAllVote) {
     rp.mean_score = 0.8 - 0.03 * static_cast<double>(i);  // within the gate
     report.elites.push_back(std::move(rp));
   }
-  auto rec = automl::VotingRecommender::FromRace(report, train);
+  ExecContext ctx(1);
+  auto rec = automl::VotingRecommender::FromRace(report, train, ctx);
   ASSERT_TRUE(rec.ok());
   EXPECT_EQ(rec->committee_size(), 3u);
 }
@@ -182,7 +190,8 @@ std::vector<ts::TimeSeries> FaultyProbes(std::size_t per_category,
 }
 
 TEST(BatchInferenceTest, RecommendBatchAgreesWithPerSeriesRecommend) {
-  auto engine = Adarts::Train(TinyCorpus(), TinyTrainOptions());
+  ExecContext train_ctx;
+  auto engine = Adarts::Train(TinyCorpus(), TinyTrainOptions(), train_ctx);
   ASSERT_TRUE(engine.ok()) << engine.status();
   const auto probes = FaultyProbes(4);
   ExecContext ctx(testing::TestThreadCount());
@@ -192,14 +201,15 @@ TEST(BatchInferenceTest, RecommendBatchAgreesWithPerSeriesRecommend) {
   // Element i of the batch is series i's recommendation: order preserved,
   // values identical to the per-series calls.
   for (std::size_t i = 0; i < probes.size(); ++i) {
-    auto single = engine->Recommend(probes[i]);
+    auto single = engine->Recommend(probes[i], ctx);
     ASSERT_TRUE(single.ok()) << single.status();
     EXPECT_EQ((*batch)[i], *single) << "series " << i;
   }
 }
 
 TEST(BatchInferenceTest, RecommendBatchBitIdenticalAcrossThreadCounts) {
-  auto engine = Adarts::Train(TinyCorpus(), TinyTrainOptions());
+  ExecContext train_ctx;
+  auto engine = Adarts::Train(TinyCorpus(), TinyTrainOptions(), train_ctx);
   ASSERT_TRUE(engine.ok()) << engine.status();
   const auto probes = FaultyProbes(3, 71);
   ExecContext serial_ctx(1);
@@ -214,9 +224,10 @@ TEST(BatchInferenceTest, RecommendBatchBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(BatchInferenceTest, RecommendBatchEmptyBatchYieldsEmptyVector) {
-  auto engine = Adarts::Train(TinyCorpus(), TinyTrainOptions());
+  ExecContext ctx;
+  auto engine = Adarts::Train(TinyCorpus(), TinyTrainOptions(), ctx);
   ASSERT_TRUE(engine.ok());
-  auto batch = engine->RecommendBatch({});
+  auto batch = engine->RecommendBatch({}, {}, ctx);
   ASSERT_TRUE(batch.ok()) << batch.status();
   EXPECT_TRUE(batch->empty());
 }
@@ -225,13 +236,14 @@ TEST(BatchInferenceTest, RepairSetMatchesSerialSeedBehavior) {
   // Golden check: the batched RepairSet must reproduce the seed's serial
   // semantics exactly — per-series recommendations, majority vote with ties
   // toward the smallest algorithm id, one ImputeSet with the winner.
-  auto engine = Adarts::Train(TinyCorpus(), TinyTrainOptions());
+  ExecContext train_ctx;
+  auto engine = Adarts::Train(TinyCorpus(), TinyTrainOptions(), train_ctx);
   ASSERT_TRUE(engine.ok());
   const auto probes = FaultyProbes(3, 67);
 
   std::map<int, std::size_t> votes;
   for (const auto& s : probes) {
-    auto algo = engine->Recommend(s);
+    auto algo = engine->Recommend(s, train_ctx);
     ASSERT_TRUE(algo.ok());
     ++votes[static_cast<int>(*algo)];
   }
@@ -255,15 +267,17 @@ TEST(BatchInferenceTest, RepairSetMatchesSerialSeedBehavior) {
 }
 
 TEST(BatchInferenceTest, RepairSetStillRejectsEmptySet) {
-  auto engine = Adarts::Train(TinyCorpus(), TinyTrainOptions());
+  ExecContext ctx;
+  auto engine = Adarts::Train(TinyCorpus(), TinyTrainOptions(), ctx);
   ASSERT_TRUE(engine.ok());
-  auto repaired = engine->RepairSet({});
+  auto repaired = engine->RepairSet({}, {}, ctx);
   ASSERT_FALSE(repaired.ok());
   EXPECT_EQ(repaired.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(RepairSetTest, MixedCompleteAndFaultySeries) {
-  auto engine = Adarts::Train(TinyCorpus(), TinyTrainOptions());
+  ExecContext ctx;
+  auto engine = Adarts::Train(TinyCorpus(), TinyTrainOptions(), ctx);
   ASSERT_TRUE(engine.ok());
   data::GeneratorOptions gopts;
   gopts.num_series = 4;
@@ -274,7 +288,7 @@ TEST(RepairSetTest, MixedCompleteAndFaultySeries) {
   // Only half of the set is faulty.
   ASSERT_TRUE(ts::InjectSingleBlock(10, &rng, &set[0]).ok());
   ASSERT_TRUE(ts::InjectSingleBlock(10, &rng, &set[2]).ok());
-  auto repaired = engine->RepairSet(set);
+  auto repaired = engine->RepairSet(set, {}, ctx);
   ASSERT_TRUE(repaired.ok());
   for (std::size_t i = 0; i < set.size(); ++i) {
     EXPECT_FALSE((*repaired)[i].HasMissing());

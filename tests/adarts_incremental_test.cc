@@ -102,7 +102,8 @@ Result<Adarts> TrainBase(std::uint64_t seed,
     grown_out->insert(grown_out->end(), delta.begin(), delta.end());
   }
   *delta_out = std::move(delta);
-  return Adarts::Train(corpus, BlockTrainOptions(seed));
+  ExecContext ctx;
+  return Adarts::Train(corpus, BlockTrainOptions(seed), ctx);
 }
 
 // ---- Agreement with a full retrain, across seeds.
@@ -117,11 +118,13 @@ TEST(AdartsIncrementalTest, AppendAgreesWithFullRetrainAcrossSeeds) {
     ASSERT_TRUE(engine->has_growth_state());
     const std::uint64_t version = engine->engine_version();
 
-    ASSERT_TRUE(engine->AppendSeries(delta).ok());
+    ExecContext append_ctx;
+    ASSERT_TRUE(engine->AppendSeries(delta, {}, append_ctx).ok());
     EXPECT_EQ(engine->engine_version(), version + 1);
     EXPECT_EQ(engine->training_data().size(), grown.size());
 
-    auto control = Adarts::Train(grown, BlockTrainOptions(seed));
+    ExecContext control_ctx;
+    auto control = Adarts::Train(grown, BlockTrainOptions(seed), control_ctx);
     ASSERT_TRUE(control.ok()) << control.status().ToString();
 
     const std::vector<int>& incremental = engine->training_data().labels;
@@ -251,7 +254,8 @@ TEST(AdartsIncrementalTest, GrowthStateSurvivesSnapshotRoundTrip) {
 
   // The loaded engine keeps growing: append works and bumps the version.
   const std::uint64_t version = loaded->engine_version();
-  ASSERT_TRUE(loaded->AppendSeries(delta).ok());
+  ExecContext ctx;
+  ASSERT_TRUE(loaded->AppendSeries(delta, {}, ctx).ok());
   EXPECT_EQ(loaded->engine_version(), version + 1);
 }
 
@@ -259,7 +263,8 @@ TEST(AdartsIncrementalTest, AppendedEngineSnapshotRoundTrips) {
   std::vector<ts::TimeSeries> delta;
   auto engine = TrainBase(61, &delta);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  ASSERT_TRUE(engine->AppendSeries(delta).ok());
+  ExecContext ctx;
+  ASSERT_TRUE(engine->AppendSeries(delta, {}, ctx).ok());
 
   const std::string path =
       ::testing::TempDir() + "/adarts_incremental_appended.bin";
@@ -283,10 +288,11 @@ TEST(AdartsIncrementalTest, EngineWithoutGrowthStateRejectsAppend) {
   BuildCorpusAndDelta(36, 4, 77, &corpus, &delta);
   TrainOptions options = BlockTrainOptions(77);
   options.use_cluster_labeling = false;  // exhaustive path: no growth state
-  auto engine = Adarts::Train(corpus, options);
+  ExecContext ctx;
+  auto engine = Adarts::Train(corpus, options, ctx);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_FALSE(engine->has_growth_state());
-  const Status st = engine->AppendSeries(delta);
+  const Status st = engine->AppendSeries(delta, {}, ctx);
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
 }
 
@@ -294,11 +300,13 @@ TEST(AdartsIncrementalTest, EmptyDeltaAndForeignPoolAreRejected) {
   std::vector<ts::TimeSeries> delta;
   auto engine = TrainBase(17, &delta);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  EXPECT_EQ(engine->AppendSeries({}).code(), StatusCode::kInvalidArgument);
+  ExecContext ctx;
+  EXPECT_EQ(engine->AppendSeries({}, {}, ctx).code(),
+            StatusCode::kInvalidArgument);
 
   UpdateOptions foreign;
   foreign.labeling.algorithms = {impute::Algorithm::kGrouse};
-  EXPECT_EQ(engine->AppendSeries(delta, foreign).code(),
+  EXPECT_EQ(engine->AppendSeries(delta, foreign, ctx).code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -322,7 +330,8 @@ TEST(AdartsIncrementalTest, AppendFaultsLeaveEngineUnchanged) {
                            "adarts.update.label", "adarts.update.race"}) {
     SCOPED_TRACE(site);
     ScopedFailpoint fp{site, FailpointSpec{}};
-    const Status st = engine->AppendSeries(delta);
+    ExecContext ctx;
+    const Status st = engine->AppendSeries(delta, {}, ctx);
     EXPECT_FALSE(st.ok());
     EXPECT_FALSE(st.message().empty());
     EXPECT_EQ(engine->engine_version(), version);
@@ -337,7 +346,8 @@ TEST(AdartsIncrementalTest, AppendFaultsLeaveEngineUnchanged) {
 
   // After the faults clear, the same append succeeds — nothing was
   // half-committed.
-  ASSERT_TRUE(engine->AppendSeries(delta).ok());
+  ExecContext ctx;
+  ASSERT_TRUE(engine->AppendSeries(delta, {}, ctx).ok());
   EXPECT_EQ(engine->engine_version(), version + 1);
   EXPECT_EQ(engine->training_data().size(), corpus_size + delta.size());
 }

@@ -6,6 +6,7 @@
 #include "cluster/clustering.h"
 #include "cluster/incremental.h"
 #include "cluster/kshape.h"
+#include "common/exec_context.h"
 #include "common/rng.h"
 #include "tests/test_util.h"
 
@@ -37,7 +38,8 @@ TEST(ClusteringStructTest, AssignmentsInvertClusters) {
 
 TEST(CorrelationMatrixTest, SymmetricUnitDiagonal) {
   const auto series = TwoFamilies(3);
-  const la::Matrix corr = PairwiseCorrelationMatrix(series);
+  ExecContext ctx(1);
+  const la::Matrix corr = PairwiseCorrelationMatrix(series, ctx);
   for (std::size_t i = 0; i < series.size(); ++i) {
     EXPECT_DOUBLE_EQ(corr(i, i), 1.0);
     for (std::size_t j = 0; j < series.size(); ++j) {
@@ -48,7 +50,8 @@ TEST(CorrelationMatrixTest, SymmetricUnitDiagonal) {
 
 TEST(ClusterAvgCorrelationTest, SingletonIsOneAndCoherentClusterHigh) {
   const auto series = TwoFamilies(4);
-  const la::Matrix corr = PairwiseCorrelationMatrix(series);
+  ExecContext ctx(1);
+  const la::Matrix corr = PairwiseCorrelationMatrix(series, ctx);
   EXPECT_DOUBLE_EQ(ClusterAvgCorrelation({0}, corr), 1.0);
   // Same-family cluster: high correlation. Mixed: lower.
   const double same = ClusterAvgCorrelation({0, 1, 2, 3}, corr);
@@ -59,7 +62,8 @@ TEST(ClusterAvgCorrelationTest, SingletonIsOneAndCoherentClusterHigh) {
 
 TEST(CorrelationGainTest, PrefersCoherentMerges) {
   const auto series = TwoFamilies(4);
-  const la::Matrix corr = PairwiseCorrelationMatrix(series);
+  ExecContext ctx(1);
+  const la::Matrix corr = PairwiseCorrelationMatrix(series, ctx);
   const double gain_same = CorrelationGain({0, 1}, {2, 3}, corr, series.size());
   const double gain_mixed = CorrelationGain({0, 1}, {4, 5}, corr, series.size());
   EXPECT_GT(gain_same, gain_mixed);
@@ -112,7 +116,8 @@ TEST(KShapeTest, ClampsKToSeriesCount) {
 
 TEST(KShapeVariantsTest, GridSearchReturnsReasonableClusterCount) {
   const auto series = TwoFamilies(5);
-  const la::Matrix corr = PairwiseCorrelationMatrix(series);
+  ExecContext ctx(1);
+  const la::Matrix corr = PairwiseCorrelationMatrix(series, ctx);
   auto clustering = KShapeGridSearch(series, 6, corr);
   ASSERT_TRUE(clustering.ok());
   EXPECT_GE(clustering->NumClusters(), 2u);
@@ -121,7 +126,8 @@ TEST(KShapeVariantsTest, GridSearchReturnsReasonableClusterCount) {
 
 TEST(KShapeVariantsTest, IterativeSplitReachesThreshold) {
   const auto series = TwoFamilies(5);
-  const la::Matrix corr = PairwiseCorrelationMatrix(series);
+  ExecContext ctx(1);
+  const la::Matrix corr = PairwiseCorrelationMatrix(series, ctx);
   auto clustering = KShapeIterativeSplit(series, 0.7, corr);
   ASSERT_TRUE(clustering.ok());
   for (const auto& cluster : clustering->clusters) {
@@ -134,9 +140,10 @@ TEST(IncrementalClusteringTest, MeetsCorrelationFloor) {
   const auto series = TwoFamilies(6);
   IncrementalOptions opts;
   opts.correlation_threshold = 0.75;
-  auto clustering = IncrementalClustering(series, opts);
+  ExecContext ctx;
+  auto clustering = IncrementalClustering(series, opts, ctx);
   ASSERT_TRUE(clustering.ok());
-  const la::Matrix corr = PairwiseCorrelationMatrix(series);
+  const la::Matrix corr = PairwiseCorrelationMatrix(series, ctx);
   // Phase 1 guarantees the threshold; phase-2 merges may relax it down to
   // the slack floor, never below.
   const double floor = opts.merge_correlation_slack * opts.correlation_threshold;
@@ -148,7 +155,8 @@ TEST(IncrementalClusteringTest, MeetsCorrelationFloor) {
 
 TEST(IncrementalClusteringTest, CoversAllSeriesOnce) {
   const auto series = TwoFamilies(7);
-  auto clustering = IncrementalClustering(series, {});
+  ExecContext ctx;
+  auto clustering = IncrementalClustering(series, {}, ctx);
   ASSERT_TRUE(clustering.ok());
   std::set<std::size_t> seen;
   for (const auto& cluster : clustering->clusters) {
@@ -169,12 +177,13 @@ TEST(IncrementalClusteringTest, MergePhaseAbsorbsNoisySingletons) {
   for (std::size_t i = 0; i < 4; ++i) {
     series.push_back(MakeSine(96, 16.0, 0.9, 600 + i));  // noisy cousins
   }
-  const la::Matrix corr = PairwiseCorrelationMatrix(series);
+  ExecContext ctx(1);
+  const la::Matrix corr = PairwiseCorrelationMatrix(series, ctx);
   IncrementalOptions opts;
   opts.correlation_threshold = 0.85;
   opts.merge_correlation_slack = 0.7;
   opts.small_cluster_size = 4;
-  auto incremental = IncrementalClustering(series, opts);
+  auto incremental = IncrementalClustering(series, opts, ctx);
   auto iterative = KShapeIterativeSplit(series, 0.85, corr);
   ASSERT_TRUE(incremental.ok());
   ASSERT_TRUE(iterative.ok());
@@ -187,7 +196,8 @@ TEST(IncrementalClusteringTest, HighlyCorrelatedCorpusStaysOneCluster) {
   for (std::size_t i = 0; i < 8; ++i) {
     series.push_back(MakeSine(96, 24.0, 0.01, 400 + i));
   }
-  auto clustering = IncrementalClustering(series, {});
+  ExecContext ctx;
+  auto clustering = IncrementalClustering(series, {}, ctx);
   ASSERT_TRUE(clustering.ok());
   EXPECT_EQ(clustering->NumClusters(), 1u);
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/clustering.h"
+#include "common/exec_context.h"
 #include "data/forecast_data.h"
 #include "data/generators.h"
 #include "ts/acf.h"
@@ -54,7 +55,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(CategoryTraitsTest, ClimateIsHighlyCorrelated) {
   const auto climate = GenerateCategory(Category::kClimate, SmallOpts());
-  const la::Matrix corr = cluster::PairwiseCorrelationMatrix(climate);
+  ExecContext ctx(1);
+  const la::Matrix corr = cluster::PairwiseCorrelationMatrix(climate, ctx);
   double total = 0.0;
   std::size_t pairs = 0;
   for (std::size_t i = 0; i < climate.size(); ++i) {
@@ -72,7 +74,8 @@ TEST(CategoryTraitsTest, MotionIsWeaklyCorrelated) {
   GeneratorOptions opts = SmallOpts();
   opts.variant = 1;
   const auto motion = GenerateCategory(Category::kMotion, opts);
-  const la::Matrix corr = cluster::PairwiseCorrelationMatrix(motion);
+  ExecContext ctx(1);
+  const la::Matrix corr = cluster::PairwiseCorrelationMatrix(motion, ctx);
   double total = 0.0;
   std::size_t pairs = 0;
   for (std::size_t i = 0; i < motion.size(); ++i) {
@@ -123,7 +126,8 @@ TEST(CategoryTraitsTest, LightningHasMixedCorrelationSigns) {
   opts.length = 384;
   opts.variant = 2;
   const auto lightning = GenerateCategory(Category::kLightning, opts);
-  const la::Matrix corr = cluster::PairwiseCorrelationMatrix(lightning);
+  ExecContext ctx(1);
+  const la::Matrix corr = cluster::PairwiseCorrelationMatrix(lightning, ctx);
   bool has_high = false, has_low = false;
   for (std::size_t i = 0; i < lightning.size(); ++i) {
     for (std::size_t j = i + 1; j < lightning.size(); ++j) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/clustering.h"
+#include "common/exec_context.h"
 #include "common/rng.h"
 #include "forecast/forecaster.h"
 #include "impute/imputer.h"
@@ -26,7 +27,8 @@ TEST(CorrelationGainTest, MatchesDefinitionOneFormula) {
   std::vector<ts::TimeSeries> series = {
       MakeSine(64, 16.0, 0.0, 1), MakeSine(64, 16.0, 0.0, 1),  // identical
       MakeSine(64, 5.0, 0.3, 9)};
-  const la::Matrix corr = cluster::PairwiseCorrelationMatrix(series);
+  ExecContext ctx(1);
+  const la::Matrix corr = cluster::PairwiseCorrelationMatrix(series, ctx);
   const std::vector<std::size_t> a = {0};
   const std::vector<std::size_t> b = {1};
   const double m = 3.0;

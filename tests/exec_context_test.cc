@@ -2,9 +2,7 @@
 // lazy one-pool-per-context contract (a whole Train builds exactly one
 // ThreadPool), the Metrics registry and StageMetrics snapshots, the
 // deterministic RNG fork policy, cancel-aware ParallelFor on a context,
-// bit-identity of the deprecated num_threads/cancel shims against an
-// explicit context, and cancellation/deadline propagation through
-// RecommendBatchPartial.
+// and cancellation/deadline propagation through RecommendBatchPartial.
 
 #include <atomic>
 #include <cstddef>
@@ -279,79 +277,10 @@ TEST(ExecContextEngineTest, WholeTrainConstructsExactlyOnePool) {
   EXPECT_EQ(stages.spans_seconds.count("race.total_seconds"), 1u);
 }
 
-TEST(ExecContextEngineTest, DeprecatedShimsMatchExplicitContextBitForBit) {
-  const auto corpus = TinyCorpus();
-  const TrainOptions base = TinyTrainOptions();
-
-  // Old surface: thread count carried in the deprecated options field.
-  TrainOptions legacy_opts = base;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  legacy_opts.num_threads = 3;
-#pragma GCC diagnostic pop
-  auto legacy = Adarts::Train(corpus, legacy_opts);
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-
-  // New surface: the same thread count on an explicit context.
-  ExecContext ctx(3);
-  auto modern = Adarts::Train(corpus, base, ctx);
-  ASSERT_TRUE(modern.ok()) << modern.status();
-
-  ASSERT_EQ(legacy->training_data().size(), modern->training_data().size());
-  EXPECT_EQ(legacy->training_data().labels, modern->training_data().labels);
-  ASSERT_EQ(legacy->committee_size(), modern->committee_size());
-  for (std::size_t i = 0; i < legacy->committee().size(); ++i) {
-    EXPECT_EQ(legacy->committee()[i].spec.ToString(),
-              modern->committee()[i].spec.ToString());
-  }
-  for (std::uint64_t seed : {201u, 202u, 203u}) {
-    const ts::TimeSeries probe = FaultyProbe(seed);
-    auto a = legacy->Recommend(probe);
-    auto b = modern->Recommend(probe);
-    ASSERT_TRUE(a.ok()) << a.status();
-    ASSERT_TRUE(b.ok()) << b.status();
-    EXPECT_EQ(*a, *b);
-  }
-}
-
-TEST(ExecContextEngineTest, DeprecatedRaceShimMatchesExplicitContext) {
-  const ml::Dataset train = MakeBlobs(3, 24, 6);
-  const ml::Dataset test = MakeBlobs(3, 8, 6, /*seed=*/4);
-  automl::ModelRaceOptions options;
-  options.num_seed_pipelines = 12;
-  options.num_partial_sets = 2;
-  options.num_folds = 2;
-  options.gamma = 0.0;
-  options.seed = 17;
-
-  automl::ModelRaceOptions legacy_options = options;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  legacy_options.num_threads = 2;
-#pragma GCC diagnostic pop
-  auto legacy = automl::RunModelRace(train, test, legacy_options);
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-
-  ExecContext ctx(2);
-  auto modern = automl::RunModelRace(train, test, options, ctx);
-  ASSERT_TRUE(modern.ok()) << modern.status();
-
-  EXPECT_EQ(legacy->pipelines_evaluated, modern->pipelines_evaluated);
-  ASSERT_EQ(legacy->elites.size(), modern->elites.size());
-  for (std::size_t i = 0; i < legacy->elites.size(); ++i) {
-    EXPECT_EQ(legacy->elites[i].spec.ToString(),
-              modern->elites[i].spec.ToString());
-    EXPECT_EQ(legacy->elites[i].scores, modern->elites[i].scores);
-  }
-  // The context carried the race counters out as metrics.
-  const StageMetrics snap = ctx.metrics().Snapshot();
-  EXPECT_EQ(snap.Counter("race.pipelines_evaluated"),
-            modern->pipelines_evaluated);
-}
-
 TEST(ExecContextEngineTest, BatchPartialReportsDeadlineThroughContext) {
   const auto corpus = TinyCorpus();
-  auto engine = Adarts::Train(corpus, TinyTrainOptions());
+  ExecContext train_ctx;
+  auto engine = Adarts::Train(corpus, TinyTrainOptions(), train_ctx);
   ASSERT_TRUE(engine.ok()) << engine.status();
 
   std::vector<ts::TimeSeries> batch;
@@ -361,7 +290,7 @@ TEST(ExecContextEngineTest, BatchPartialReportsDeadlineThroughContext) {
 
   CancellationToken expired = CancellationToken::WithDeadline(0.0);
   ExecContext ctx(testing::TestThreadCount(), &expired);
-  auto partial = engine->RecommendBatchPartial(batch, {}, ctx);
+  auto partial = engine->RecommendBatchPartial(batch, ctx);
   ASSERT_EQ(partial.size(), batch.size());
   for (const auto& slot : partial) {
     ASSERT_FALSE(slot.ok());
@@ -370,7 +299,7 @@ TEST(ExecContextEngineTest, BatchPartialReportsDeadlineThroughContext) {
 
   // A healthy context on the same engine works and records batch metrics.
   ExecContext healthy_ctx(testing::TestThreadCount());
-  auto ok_partial = engine->RecommendBatchPartial(batch, {}, healthy_ctx);
+  auto ok_partial = engine->RecommendBatchPartial(batch, healthy_ctx);
   ASSERT_EQ(ok_partial.size(), batch.size());
   for (const auto& slot : ok_partial) EXPECT_TRUE(slot.ok()) << slot.status();
   EXPECT_EQ(healthy_ctx.metrics().Snapshot().Counter("recommend.requests"),

@@ -239,7 +239,9 @@ TEST(MissingnessFeaturesTest, TipGapFlagged) {
   auto f = fe.Extract(s);
   ASSERT_TRUE(f.ok());
   for (std::size_t i = 0; i < fe.Schema().size(); ++i) {
-    if (fe.Schema()[i].name == "is_tip_gap") EXPECT_DOUBLE_EQ((*f)[i], 1.0);
+    if (fe.Schema()[i].name == "is_tip_gap") {
+      EXPECT_DOUBLE_EQ((*f)[i], 1.0);
+    }
     if (fe.Schema()[i].name == "last_gap_end_position") {
       EXPECT_DOUBLE_EQ((*f)[i], 1.0);
     }

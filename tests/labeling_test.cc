@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/incremental.h"
+#include "common/exec_context.h"
 #include "labeling/labeler.h"
 #include "tests/test_util.h"
 
@@ -20,7 +21,8 @@ LabelingOptions SmallPool() {
 
 TEST(FullLabelingTest, LabelsEverySeriesWithinPool) {
   const auto series = MakeCorrelatedSet(6, 96);
-  auto result = LabelSeriesFull(series, SmallPool());
+  ExecContext ctx;
+  auto result = LabelSeriesFull(series, SmallPool(), ctx);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->labels.size(), series.size());
   for (int label : result->labels) {
@@ -34,7 +36,8 @@ TEST(FullLabelingTest, LabelsEverySeriesWithinPool) {
 
 TEST(FullLabelingTest, LabelIsArgminOfRmseRow) {
   const auto series = MakeCorrelatedSet(5, 96);
-  auto result = LabelSeriesFull(series, SmallPool());
+  ExecContext ctx;
+  auto result = LabelSeriesFull(series, SmallPool(), ctx);
   ASSERT_TRUE(result.ok());
   for (std::size_t i = 0; i < series.size(); ++i) {
     const int label = result->labels[i];
@@ -47,7 +50,8 @@ TEST(FullLabelingTest, LabelIsArgminOfRmseRow) {
 
 TEST(FullLabelingTest, MeanRarelyWinsOnSmoothCorrelatedData) {
   const auto series = MakeCorrelatedSet(8, 128, 0.02);
-  auto result = LabelSeriesFull(series, SmallPool());
+  ExecContext ctx;
+  auto result = LabelSeriesFull(series, SmallPool(), ctx);
   ASSERT_TRUE(result.ok());
   std::size_t mean_wins = 0;
   for (int label : result->labels) {
@@ -61,8 +65,9 @@ TEST(FullLabelingTest, MeanRarelyWinsOnSmoothCorrelatedData) {
 
 TEST(FullLabelingTest, DeterministicForSameSeed) {
   const auto series = MakeCorrelatedSet(5, 96);
-  auto a = LabelSeriesFull(series, SmallPool());
-  auto b = LabelSeriesFull(series, SmallPool());
+  ExecContext ctx;
+  auto a = LabelSeriesFull(series, SmallPool(), ctx);
+  auto b = LabelSeriesFull(series, SmallPool(), ctx);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->labels, b->labels);
@@ -72,7 +77,8 @@ TEST(ClusterLabelingTest, PropagatesWithinClusters) {
   const auto series = MakeCorrelatedSet(9, 96);
   cluster::Clustering clustering;
   clustering.clusters = {{0, 1, 2, 3}, {4, 5, 6, 7, 8}};
-  auto result = LabelByClusters(series, clustering, SmallPool());
+  ExecContext ctx;
+  auto result = LabelByClusters(series, clustering, SmallPool(), ctx);
   ASSERT_TRUE(result.ok());
   // All members of one cluster share one label.
   for (const auto& members : clustering.clusters) {
@@ -84,10 +90,11 @@ TEST(ClusterLabelingTest, PropagatesWithinClusters) {
 
 TEST(ClusterLabelingTest, UsesFewerImputationRunsThanFull) {
   const auto series = MakeCorrelatedSet(12, 96);
-  auto clustering = cluster::IncrementalClustering(series, {});
+  ExecContext ctx;
+  auto clustering = cluster::IncrementalClustering(series, {}, ctx);
   ASSERT_TRUE(clustering.ok());
-  auto fast = LabelByClusters(series, *clustering, SmallPool());
-  auto full = LabelSeriesFull(series, SmallPool());
+  auto fast = LabelByClusters(series, *clustering, SmallPool(), ctx);
+  auto full = LabelSeriesFull(series, SmallPool(), ctx);
   ASSERT_TRUE(fast.ok());
   ASSERT_TRUE(full.ok());
   // Cluster labeling runs the pool once per cluster; full labeling runs it
@@ -101,7 +108,8 @@ TEST(ClusterLabelingTest, UsesFewerImputationRunsThanFull) {
 
 TEST(ClusterRepresentativesTest, PicksHighestTotalCorrelation) {
   const auto series = MakeCorrelatedSet(4, 64);
-  const la::Matrix corr = cluster::PairwiseCorrelationMatrix(series);
+  ExecContext ctx(1);
+  const la::Matrix corr = cluster::PairwiseCorrelationMatrix(series, ctx);
   const std::vector<std::size_t> members = {0, 1, 2, 3};
   const auto reps = ClusterRepresentatives(members, corr, 2);
   EXPECT_EQ(reps.size(), 2u);
@@ -113,15 +121,17 @@ TEST(ClusterRepresentativesTest, PicksHighestTotalCorrelation) {
 }
 
 TEST(LabelingTest, EmptyInputRejected) {
-  EXPECT_FALSE(LabelSeriesFull({}, SmallPool()).ok());
+  ExecContext ctx;
+  EXPECT_FALSE(LabelSeriesFull({}, SmallPool(), ctx).ok());
   cluster::Clustering empty;
-  EXPECT_FALSE(LabelByClusters({}, empty, SmallPool()).ok());
+  EXPECT_FALSE(LabelByClusters({}, empty, SmallPool(), ctx).ok());
 }
 
 TEST(LabelingTest, DefaultPoolIsFullRegistry) {
   const auto series = MakeCorrelatedSet(4, 96);
   LabelingOptions opts;  // no explicit pool
-  auto result = LabelSeriesFull(series, opts);
+  ExecContext ctx;
+  auto result = LabelSeriesFull(series, opts, ctx);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->algorithms.size(),
             static_cast<std::size_t>(impute::kNumAlgorithms));

@@ -141,7 +141,9 @@ TEST(NetTest, RequestRoundTripsEveryType) {
       ASSERT_EQ(out.length(), in.length());
       for (std::size_t i = 0; i < in.length(); ++i) {
         EXPECT_EQ(out.IsMissing(i), in.IsMissing(i));
-        if (!in.IsMissing(i)) EXPECT_EQ(out.value(i), in.value(i));
+        if (!in.IsMissing(i)) {
+          EXPECT_EQ(out.value(i), in.value(i));
+        }
       }
     }
   }

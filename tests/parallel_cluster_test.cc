@@ -12,7 +12,6 @@
 #include "cluster/clustering.h"
 #include "cluster/incremental.h"
 #include "common/exec_context.h"
-#include "common/thread_pool.h"
 #include "data/generators.h"
 #include "labeling/labeler.h"
 #include "tests/test_util.h"
@@ -55,9 +54,10 @@ TEST(ParallelClusterPairIndexTest, EnumeratesUpperTriangleInOrder) {
 
 TEST(ParallelClusterDeterminismTest, CorrelationMatrixBitIdentical) {
   const auto corpus = MixedCorpus();
-  const la::Matrix serial = PairwiseCorrelationMatrix(corpus);
-  ThreadPool pool(TestThreadCount());
-  const la::Matrix parallel = PairwiseCorrelationMatrix(corpus, &pool);
+  ExecContext serial_ctx(1);
+  const la::Matrix serial = PairwiseCorrelationMatrix(corpus, serial_ctx);
+  ExecContext parallel_ctx(TestThreadCount());
+  const la::Matrix parallel = PairwiseCorrelationMatrix(corpus, parallel_ctx);
   ASSERT_EQ(parallel.rows(), serial.rows());
   ASSERT_EQ(parallel.cols(), serial.cols());
   for (std::size_t i = 0; i < serial.rows(); ++i) {
@@ -111,25 +111,26 @@ TEST(ParallelClusterDeterminismTest, ClusterLabelsBitIdentical) {
 // ---- Degenerate corpora.
 
 TEST(ParallelClusterEdgeCaseTest, EmptyCorpusRejectedByClustering) {
-  auto clustering = IncrementalClustering({}, {});
+  ExecContext ctx;
+  auto clustering = IncrementalClustering({}, {}, ctx);
   ASSERT_FALSE(clustering.ok());
   EXPECT_EQ(clustering.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ParallelClusterEdgeCaseTest, EmptyCorpusCorrelationMatrixIsEmpty) {
-  ThreadPool pool(TestThreadCount());
-  const la::Matrix corr = PairwiseCorrelationMatrix({}, &pool);
+  ExecContext ctx(TestThreadCount());
+  const la::Matrix corr = PairwiseCorrelationMatrix({}, ctx);
   EXPECT_EQ(corr.rows(), 0u);
   EXPECT_EQ(corr.cols(), 0u);
 }
 
 TEST(ParallelClusterEdgeCaseTest, SingleSeriesIsOneSingletonCluster) {
   const std::vector<ts::TimeSeries> one = {MakeSine(64, 8.0)};
-  ThreadPool pool(TestThreadCount());
-  const la::Matrix corr = PairwiseCorrelationMatrix(one, &pool);
+  ExecContext ctx(TestThreadCount());
+  const la::Matrix corr = PairwiseCorrelationMatrix(one, ctx);
   ASSERT_EQ(corr.rows(), 1u);
   EXPECT_EQ(corr(0, 0), 1.0);
-  auto clustering = IncrementalClustering(one, {});
+  auto clustering = IncrementalClustering(one, {}, ctx);
   ASSERT_TRUE(clustering.ok()) << clustering.status();
   ASSERT_EQ(clustering->NumClusters(), 1u);
   EXPECT_EQ(clustering->clusters[0], std::vector<std::size_t>{0});
@@ -144,9 +145,10 @@ TEST(ParallelClusterEdgeCaseTest, ConstantSeriesAmongVaryingOnesIsHandled) {
   }
   corpus.push_back(ConstantSeries(96, 3.5));
 
-  const la::Matrix serial = PairwiseCorrelationMatrix(corpus);
-  ThreadPool pool(TestThreadCount());
-  const la::Matrix parallel = PairwiseCorrelationMatrix(corpus, &pool);
+  ExecContext serial_ctx(1);
+  const la::Matrix serial = PairwiseCorrelationMatrix(corpus, serial_ctx);
+  ExecContext parallel_ctx(TestThreadCount());
+  const la::Matrix parallel = PairwiseCorrelationMatrix(corpus, parallel_ctx);
   const std::size_t constant_idx = corpus.size() - 1;
   for (std::size_t j = 0; j < corpus.size(); ++j) {
     if (j != constant_idx) {

@@ -25,7 +25,8 @@ Result<Adarts> TrainSmallEngine(std::uint64_t seed = 17) {
   automl::ModelRaceOptions race;
   race.num_seed_pipelines = 12;
   race.num_partial_sets = 2;
-  return Adarts::TrainFromLabeled(labeled, pool, {}, race, seed);
+  ExecContext ctx;
+  return Adarts::TrainFromLabeled(labeled, pool, {}, race, seed, ctx);
 }
 
 TEST(SerializationTest, RoundTripReproducesRecommendations) {
@@ -71,7 +72,8 @@ TEST(SerializationTest, RoundTripPreservesExtractorOptions) {
   automl::ModelRaceOptions race;
   race.num_seed_pipelines = 12;
   race.num_partial_sets = 2;
-  auto engine = Adarts::TrainFromLabeled(labeled, pool, fopts, race);
+  ExecContext ctx;
+  auto engine = Adarts::TrainFromLabeled(labeled, pool, fopts, race, 17, ctx);
   ASSERT_TRUE(engine.ok());
   const std::string path = TempBundlePath("adarts_bundle_extractor.model");
   ASSERT_TRUE(engine->Save(path).ok());

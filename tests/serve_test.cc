@@ -54,7 +54,8 @@ std::vector<ts::TimeSeries> SmallCorpus() {
 /// contract anyway: the daemon never mutates it).
 const Adarts& Engine() {
   static const Adarts* engine = [] {
-    auto trained = Adarts::Train(SmallCorpus(), FastOptions());
+    ExecContext ctx;
+    auto trained = Adarts::Train(SmallCorpus(), FastOptions(), ctx);
     EXPECT_TRUE(trained.ok()) << trained.status();
     return new Adarts(std::move(trained).value());
   }();
@@ -127,7 +128,8 @@ TEST(ServeTest, RecommendReturnsAlgorithmFromPool) {
   }
   EXPECT_TRUE(in_pool);
   // The served answer equals a direct engine call — the wire adds nothing.
-  auto direct = Engine().Recommend(MakeFaulty());
+  ExecContext ctx;
+  auto direct = Engine().Recommend(MakeFaulty(), ctx);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(*algorithm, *direct);
   Shutdown(&server);
@@ -142,8 +144,9 @@ TEST(ServeTest, BatchMatchesSingleRecommends) {
   ASSERT_TRUE(response.ok()) << response.status();
   ASSERT_TRUE(response->ok()) << response->message;
   ASSERT_EQ(response->algorithms.size(), request.series.size());
+  ExecContext ctx;
   for (std::size_t i = 0; i < request.series.size(); ++i) {
-    auto direct = Engine().Recommend(request.series[i]);
+    auto direct = Engine().Recommend(request.series[i], ctx);
     ASSERT_TRUE(direct.ok());
     EXPECT_EQ(response->algorithms[i],
               std::string(impute::AlgorithmToString(*direct)));

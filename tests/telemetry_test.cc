@@ -214,7 +214,8 @@ std::vector<ts::TimeSeries> SmallCorpus() {
 
 const Adarts& Engine() {
   static const Adarts* engine = [] {
-    auto trained = Adarts::Train(SmallCorpus(), FastOptions());
+    ExecContext ctx;
+    auto trained = Adarts::Train(SmallCorpus(), FastOptions(), ctx);
     EXPECT_TRUE(trained.ok()) << trained.status();
     return new Adarts(std::move(trained).value());
   }();

@@ -189,16 +189,16 @@ TEST(ThreadDeterminismTest, TrainRecommendationsAreIdenticalFor1And4Threads) {
   for (auto& probe : data::GenerateCategory(data::Category::kClimate, gopts)) {
     Rng rng(3);
     ASSERT_TRUE(ts::InjectSingleBlock(12, &rng, &probe).ok());
-    auto ra = a->Recommend(probe);
-    auto rb = b->Recommend(probe);
+    auto ra = a->Recommend(probe, serial_ctx);
+    auto rb = b->Recommend(probe, parallel_ctx);
     ASSERT_TRUE(ra.ok());
     ASSERT_TRUE(rb.ok());
     EXPECT_EQ(*ra, *rb);
-    auto ranked_a = a->RecommendRanked(probe);
-    auto ranked_b = b->RecommendRanked(probe);
+    auto ranked_a = a->RecommendEx(probe);
+    auto ranked_b = b->RecommendEx(probe);
     ASSERT_TRUE(ranked_a.ok());
     ASSERT_TRUE(ranked_b.ok());
-    EXPECT_EQ(*ranked_a, *ranked_b);
+    EXPECT_EQ(ranked_a->ranking, ranked_b->ranking);
   }
 }
 

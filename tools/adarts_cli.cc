@@ -13,8 +13,6 @@
 // `--faulty` contains the series to diagnose/repair (empty cells = missing).
 
 #include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -25,34 +23,14 @@
 #include "data/generators.h"
 #include "io/csv.h"
 #include "labeling/labeler.h"
+#include "tools/tool_args.h"
 #include "ts/missing.h"
 
 namespace adarts::cli {
 namespace {
 
-using Args = std::map<std::string, std::string>;
-
-/// Parses "--key value" pairs after the subcommand.
-Args ParseArgs(int argc, char** argv, int first) {
-  Args args;
-  for (int i = first; i + 1 < argc; i += 2) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0) key = key.substr(2);
-    args[key] = argv[i + 1];
-  }
-  return args;
-}
-
-std::string GetArg(const Args& args, const std::string& key,
-                   const std::string& fallback) {
-  const auto it = args.find(key);
-  return it != args.end() ? it->second : fallback;
-}
-
-int Fail(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
-}
+using tools::Args;
+using tools::Fail;
 
 int Usage() {
   std::fprintf(stderr,
@@ -86,6 +64,34 @@ Result<data::Category> ParseCategory(const std::string& name) {
   return Status::NotFound("unknown category: " + name);
 }
 
+/// The numeric flags. Main parses and range-checks every one of them before
+/// the subcommand runs, so a malformed value is a usage error (exit 2) that
+/// never reaches a model load or a training run.
+struct Numbers {
+  std::size_t series = 20;
+  std::size_t length = 192;
+  int variant = 0;
+  double fraction = 0.1;
+  std::uint64_t seed = 17;
+  std::uint64_t engine_version = 0;
+};
+
+Result<Numbers> ParseNumbers(const Args& args, const std::string& command) {
+  Numbers n;
+  // generate and inject keep their own default seeds.
+  if (command == "generate") n.seed = 1;
+  if (command == "inject") n.seed = 2;
+  ADARTS_RETURN_NOT_OK(tools::FirstError({
+      args.GetUint("series", &n.series),
+      args.GetUint("length", &n.length),
+      args.GetUint("variant", &n.variant),
+      args.GetDouble("fraction", &n.fraction),
+      args.GetUint("seed", &n.seed),
+      args.GetUint("engine-version", &n.engine_version),
+  }));
+  return n;
+}
+
 Result<ts::MissingPattern> ParsePattern(const std::string& name) {
   for (ts::MissingPattern p :
        {ts::MissingPattern::kSingleBlock, ts::MissingPattern::kMultiBlock,
@@ -95,15 +101,15 @@ Result<ts::MissingPattern> ParsePattern(const std::string& name) {
   return Status::NotFound("unknown pattern: " + name);
 }
 
-int CmdGenerate(const Args& args) {
-  auto category = ParseCategory(GetArg(args, "category", "Power"));
+int CmdGenerate(const Args& args, const Numbers& n) {
+  auto category = ParseCategory(args.Get("category", "Power"));
   if (!category.ok()) return Fail(category.status());
   data::GeneratorOptions opts;
-  opts.num_series = std::strtoul(GetArg(args, "series", "20").c_str(), nullptr, 10);
-  opts.length = std::strtoul(GetArg(args, "length", "192").c_str(), nullptr, 10);
-  opts.variant = std::atoi(GetArg(args, "variant", "0").c_str());
-  opts.seed = std::strtoull(GetArg(args, "seed", "1").c_str(), nullptr, 10);
-  const std::string out = GetArg(args, "out", "");
+  opts.num_series = n.series;
+  opts.length = n.length;
+  opts.variant = n.variant;
+  opts.seed = n.seed;
+  const std::string out = args.Get("out");
   if (out.empty()) return Usage();
   const auto series = data::GenerateCategory(*category, opts);
   if (auto st = io::WriteSeriesCsv(out, series); !st.ok()) return Fail(st);
@@ -112,19 +118,19 @@ int CmdGenerate(const Args& args) {
   return 0;
 }
 
-int CmdInject(const Args& args) {
-  auto set = io::ReadSeriesCsv(GetArg(args, "input", ""));
+int CmdInject(const Args& args, const Numbers& n) {
+  auto set = io::ReadSeriesCsv(args.Get("input"));
   if (!set.ok()) return Fail(set.status());
-  auto pattern = ParsePattern(GetArg(args, "pattern", "single_block"));
+  auto pattern = ParsePattern(args.Get("pattern", "single_block"));
   if (!pattern.ok()) return Fail(pattern.status());
-  const double fraction = std::atof(GetArg(args, "fraction", "0.1").c_str());
-  Rng rng(std::strtoull(GetArg(args, "seed", "2").c_str(), nullptr, 10));
+  Rng rng(n.seed);
   for (auto& s : *set) {
-    if (auto st = ts::InjectPattern(*pattern, fraction, &rng, &s); !st.ok()) {
+    if (auto st = ts::InjectPattern(*pattern, n.fraction, &rng, &s);
+        !st.ok()) {
       return Fail(st);
     }
   }
-  const std::string out = GetArg(args, "out", "");
+  const std::string out = args.Get("out");
   if (out.empty()) return Usage();
   if (auto st = io::WriteSeriesCsv(out, *set); !st.ok()) return Fail(st);
   std::size_t missing = 0, total = 0;
@@ -138,11 +144,12 @@ int CmdInject(const Args& args) {
 }
 
 int CmdLabel(const Args& args) {
-  auto corpus = io::ReadSeriesCsv(GetArg(args, "corpus", ""));
+  auto corpus = io::ReadSeriesCsv(args.Get("corpus"));
   if (!corpus.ok()) return Fail(corpus.status());
-  auto clustering = cluster::IncrementalClustering(*corpus, {});
+  ExecContext ctx;
+  auto clustering = cluster::IncrementalClustering(*corpus, {}, ctx);
   if (!clustering.ok()) return Fail(clustering.status());
-  auto labels = labeling::LabelByClusters(*corpus, *clustering, {});
+  auto labels = labeling::LabelByClusters(*corpus, *clustering, {}, ctx);
   if (!labels.ok()) return Fail(labels.status());
   std::printf("%zu series -> %zu clusters, %zu imputation runs\n",
               corpus->size(), clustering->NumClusters(),
@@ -162,65 +169,64 @@ int CmdLabel(const Args& args) {
 
 /// Obtains an engine: from a saved bundle when --model FILE exists, else by
 /// training on --corpus FILE (and saving to --model if given).
-Result<Adarts> ObtainEngine(const Args& args) {
-  const std::string model = GetArg(args, "model", "");
+Result<Adarts> ObtainEngine(const Args& args, const Numbers& n) {
+  const std::string model = args.Get("model");
   if (!model.empty()) {
     auto loaded = Adarts::Load(model);
     if (loaded.ok()) return loaded;
-    if (GetArg(args, "corpus", "").empty()) return loaded;  // nothing to train on
+    if (args.Get("corpus").empty()) return loaded;  // nothing to train on
   }
   ADARTS_ASSIGN_OR_RETURN(std::vector<ts::TimeSeries> corpus,
-                          io::ReadSeriesCsv(GetArg(args, "corpus", "")));
+                          io::ReadSeriesCsv(args.Get("corpus")));
   TrainOptions options;
-  options.seed = std::strtoull(GetArg(args, "seed", "17").c_str(), nullptr, 10);
-  ADARTS_ASSIGN_OR_RETURN(Adarts engine, Adarts::Train(corpus, options));
+  options.seed = n.seed;
+  ExecContext ctx;
+  ADARTS_ASSIGN_OR_RETURN(Adarts engine, Adarts::Train(corpus, options, ctx));
   // --engine-version stamps the snapshot for hot-swap publishing: a serving
   // daemon's registry only accepts monotonically non-decreasing versions.
-  const std::string version = GetArg(args, "engine-version", "");
-  if (!version.empty()) {
-    engine.set_engine_version(
-        std::strtoull(version.c_str(), nullptr, 10));
-  }
+  if (args.Has("engine-version")) engine.set_engine_version(n.engine_version);
   if (!model.empty()) {
     ADARTS_RETURN_NOT_OK(engine.Save(model));
   }
   return engine;
 }
 
-int CmdTrain(const Args& args) {
-  if (GetArg(args, "model", "").empty() || GetArg(args, "corpus", "").empty()) {
-    return Usage();
-  }
+int CmdTrain(const Args& args, const Numbers& n) {
+  const std::string model = args.Get("model");
+  if (model.empty() || args.Get("corpus").empty()) return Usage();
   // train always retrains: discard any stale bundle at the target path so
   // ObtainEngine cannot short-circuit by loading it.
-  std::remove(GetArg(args, "model", "").c_str());
-  auto engine = ObtainEngine(args);
+  std::remove(model.c_str());
+  auto engine = ObtainEngine(args, n);
   if (!engine.ok()) return Fail(engine.status());
   std::printf("trained committee of %zu pipelines over %zu algorithms; "
               "saved to %s\n",
               engine->committee_size(), engine->algorithm_pool().size(),
-              GetArg(args, "model", "").c_str());
+              model.c_str());
   for (const auto& member : engine->committee()) {
     std::printf("  %s\n", member.spec.ToString().c_str());
   }
   return 0;
 }
 
-int CmdAppend(const Args& args) {
-  const std::string model = GetArg(args, "model", "");
-  const std::string delta_path = GetArg(args, "delta", "");
+int CmdAppend(const Args& args, const Numbers& n) {
+  const std::string model = args.Get("model");
+  const std::string delta_path = args.Get("delta");
   if (model.empty() || delta_path.empty()) return Usage();
   auto engine = Adarts::Load(model);
   if (!engine.ok()) return Fail(engine.status());
   auto delta = io::ReadSeriesCsv(delta_path);
   if (!delta.ok()) return Fail(delta.status());
   UpdateOptions options;
-  options.seed = std::strtoull(GetArg(args, "seed", "17").c_str(), nullptr, 10);
-  options.warm_start = GetArg(args, "cold", "0") == "0";
-  if (auto st = engine->AppendSeries(*delta, options); !st.ok()) return Fail(st);
+  options.seed = n.seed;
+  options.warm_start = args.Get("cold", "0") == "0";
+  ExecContext ctx;
+  if (auto st = engine->AppendSeries(*delta, options, ctx); !st.ok()) {
+    return Fail(st);
+  }
   // AppendSeries bumped engine_version, so the save below publishes a
   // strictly newer snapshot: a SIGHUP'd adarts_serve accepts the swap.
-  const std::string out = GetArg(args, "out", model);
+  const std::string out = args.Get("out", model);
   if (auto st = engine->Save(out); !st.ok()) return Fail(st);
   const auto& counters = engine->train_report().stages.counters;
   const auto counter = [&](const char* name) -> std::uint64_t {
@@ -244,7 +250,7 @@ int CmdAppend(const Args& args) {
 }
 
 int CmdInfo(const Args& args) {
-  const std::string model = GetArg(args, "model", "");
+  const std::string model = args.Get("model");
   if (model.empty()) return Usage();
   // The header answers the cheap questions (version, creation time) without
   // refitting the committee; the full Load supplies the corpus/cluster view.
@@ -279,32 +285,34 @@ int CmdInfo(const Args& args) {
   return 0;
 }
 
-int CmdRecommend(const Args& args) {
-  auto engine = ObtainEngine(args);
+int CmdRecommend(const Args& args, const Numbers& n) {
+  auto engine = ObtainEngine(args, n);
   if (!engine.ok()) return Fail(engine.status());
-  auto faulty = io::ReadSeriesCsv(GetArg(args, "faulty", ""));
+  auto faulty = io::ReadSeriesCsv(args.Get("faulty"));
   if (!faulty.ok()) return Fail(faulty.status());
   for (const auto& s : *faulty) {
-    auto ranking = engine->RecommendRanked(s);
-    if (!ranking.ok()) return Fail(ranking.status());
+    auto rec = engine->RecommendEx(s);
+    if (!rec.ok()) return Fail(rec.status());
     std::printf("%s (%zu missing):", s.name().c_str(), s.MissingCount());
-    for (std::size_t i = 0; i < 3 && i < ranking->size(); ++i) {
-      std::printf(" %s",
-                  std::string(impute::AlgorithmToString((*ranking)[i])).c_str());
+    for (std::size_t i = 0; i < 3 && i < rec->ranking.size(); ++i) {
+      std::printf(
+          " %s",
+          std::string(impute::AlgorithmToString(rec->ranking[i])).c_str());
     }
     std::printf("\n");
   }
   return 0;
 }
 
-int CmdRepair(const Args& args) {
-  auto engine = ObtainEngine(args);
+int CmdRepair(const Args& args, const Numbers& n) {
+  auto engine = ObtainEngine(args, n);
   if (!engine.ok()) return Fail(engine.status());
-  auto faulty = io::ReadSeriesCsv(GetArg(args, "faulty", ""));
+  auto faulty = io::ReadSeriesCsv(args.Get("faulty"));
   if (!faulty.ok()) return Fail(faulty.status());
-  auto repaired = engine->RepairSet(*faulty);
+  ExecContext ctx;
+  auto repaired = engine->RepairSet(*faulty, {}, ctx);
   if (!repaired.ok()) return Fail(repaired.status());
-  const std::string out = GetArg(args, "out", "");
+  const std::string out = args.Get("out");
   if (out.empty()) return Usage();
   if (auto st = io::WriteSeriesCsv(out, *repaired); !st.ok()) return Fail(st);
   std::printf("repaired %zu series -> %s\n", repaired->size(), out.c_str());
@@ -314,21 +322,26 @@ int CmdRepair(const Args& args) {
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  const Args args = ParseArgs(argc, argv, 2);
+  const Result<Args> parsed = Args::Parse(argc, argv, 2);
+  if (!parsed.ok()) return tools::BadFlag(parsed.status());
+  const Args& args = *parsed;
+  const Result<Numbers> numbers = ParseNumbers(args, command);
+  if (!numbers.ok()) return tools::BadFlag(numbers.status());
+  const Numbers& n = *numbers;
   // --trace FILE arms the global tracer for the whole command; the JSON is
   // exported when `session` leaves scope, after the subcommand returns.
   TraceOptions trace_options;
-  trace_options.path = GetArg(args, "trace", "");
+  trace_options.path = args.Get("trace");
   trace_options.enabled = !trace_options.path.empty();
   ScopedTrace session(trace_options);
-  if (command == "generate") return CmdGenerate(args);
-  if (command == "inject") return CmdInject(args);
+  if (command == "generate") return CmdGenerate(args, n);
+  if (command == "inject") return CmdInject(args, n);
   if (command == "label") return CmdLabel(args);
-  if (command == "train") return CmdTrain(args);
-  if (command == "append") return CmdAppend(args);
+  if (command == "train") return CmdTrain(args, n);
+  if (command == "append") return CmdAppend(args, n);
   if (command == "info") return CmdInfo(args);
-  if (command == "recommend") return CmdRecommend(args);
-  if (command == "repair") return CmdRepair(args);
+  if (command == "recommend") return CmdRecommend(args, n);
+  if (command == "repair") return CmdRepair(args, n);
   return Usage();
 }
 

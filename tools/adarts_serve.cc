@@ -35,9 +35,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <map>
 #include <string>
 #include <thread>
 
@@ -47,32 +45,19 @@
 #include "common/trace.h"
 #include "net/http_endpoint.h"
 #include "net/server.h"
+#include "tools/tool_args.h"
 
 namespace adarts::serve {
 namespace {
 
-using Args = std::map<std::string, std::string>;
+using tools::Args;
+using tools::BadFlag;
+using tools::Fail;
+using tools::FirstError;
 
-Args ParseArgs(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0) key = key.substr(2);
-    args[key] = argv[i + 1];
-  }
-  return args;
-}
-
-std::string GetArg(const Args& args, const std::string& key,
-                   const std::string& fallback) {
-  const auto it = args.find(key);
-  return it != args.end() ? it->second : fallback;
-}
-
-int Fail(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
-}
+/// Cap on --workers and --threads-per-worker: a thread count beyond it is a
+/// typo, not a deployment, and would otherwise die spawning threads.
+constexpr std::size_t kMaxThreads = 1024;
 
 int Usage() {
   std::fprintf(
@@ -86,7 +71,8 @@ int Usage() {
       "  --model          engine snapshot written by `adarts_cli train`\n"
       "  --port           TCP port on 127.0.0.1 (default 0 = ephemeral)\n"
       "  --port-file      write the bound port to FILE once listening\n"
-      "  --workers        request executor threads (default 1)\n"
+      "  --workers        request executor threads (default 1, at most\n"
+      "                   1024; the same cap holds --threads-per-worker)\n"
       "  --queue          admission queue bound; excess requests are shed\n"
       "                   with an Unavailable response (default 64)\n"
       "  --max-conns      concurrent connection cap; excess connections\n"
@@ -123,12 +109,36 @@ void WriteMetricsJson(const std::string& path, const net::Server& server) {
 }
 
 int Main(int argc, char** argv) {
-  const Args args = ParseArgs(argc, argv);
-  const std::string model = GetArg(args, "model", "");
+  const Result<Args> parsed = Args::Parse(argc, argv);
+  if (!parsed.ok()) return BadFlag(parsed.status());
+  const Args& args = *parsed;
+  const std::string model = args.Get("model");
   if (model.empty()) return Usage();
 
+  // Every flag is checked before the model loads: a malformed number is a
+  // usage error (exit 2), never a silent 0 or a wrapped port.
+  net::ServeOptions options;
+  options.model_path = model;
+  net::HttpOptions http_options;
+  double drain_grace_ms = 0.0;
+  const Status flags = FirstError({
+      args.GetUint("port", &options.port),
+      args.GetUint("workers", &options.num_workers, kMaxThreads),
+      args.GetUint("threads-per-worker", &options.threads_per_worker,
+                   kMaxThreads),
+      args.GetUint("queue", &options.queue_capacity),
+      // --max-conns is the documented short form and wins; --max-connections
+      // stays for compatibility with existing scripts.
+      args.GetUint("max-connections", &options.max_connections),
+      args.GetUint("max-conns", &options.max_connections),
+      args.GetDouble("deadline-ms", &options.default_deadline_ms),
+      args.GetUint("http-port", &http_options.port),
+      args.GetDouble("drain-grace-ms", &drain_grace_ms),
+  });
+  if (!flags.ok()) return BadFlag(flags);
+
   TraceOptions trace = TraceOptions::FromEnv();
-  const std::string trace_path = GetArg(args, "trace", "");
+  const std::string trace_path = args.Get("trace");
   if (!trace_path.empty()) {
     trace.enabled = true;
     trace.path = trace_path;
@@ -137,24 +147,6 @@ int Main(int argc, char** argv) {
 
   auto engine = Adarts::Load(model);
   if (!engine.ok()) return Fail(engine.status());
-
-  net::ServeOptions options;
-  options.port = static_cast<std::uint16_t>(
-      std::atoi(GetArg(args, "port", "0").c_str()));
-  options.num_workers = static_cast<std::size_t>(
-      std::atol(GetArg(args, "workers", "1").c_str()));
-  options.threads_per_worker = static_cast<std::size_t>(
-      std::atol(GetArg(args, "threads-per-worker", "1").c_str()));
-  options.queue_capacity = static_cast<std::size_t>(
-      std::atol(GetArg(args, "queue", "64").c_str()));
-  // --max-conns is the documented short form; --max-connections stays for
-  // compatibility with existing scripts.
-  options.max_connections = static_cast<std::size_t>(std::atol(
-      GetArg(args, "max-conns", GetArg(args, "max-connections", "256"))
-          .c_str()));
-  options.default_deadline_ms =
-      std::atof(GetArg(args, "deadline-ms", "0").c_str());
-  options.model_path = model;
 
   Status installed = InstallShutdownHandler();
   if (!installed.ok()) return Fail(installed);
@@ -165,9 +157,9 @@ int Main(int argc, char** argv) {
   Status started = server.Start();
   if (!started.ok()) return Fail(started);
 
-  const std::string metrics_path = GetArg(args, "metrics-json", "");
+  const std::string metrics_path = args.Get("metrics-json");
 
-  const std::string port_file = GetArg(args, "port-file", "");
+  const std::string port_file = args.Get("port-file");
   if (!port_file.empty()) {
     std::ofstream out(port_file, std::ios::trunc);
     out << server.port() << "\n";
@@ -185,7 +177,7 @@ int Main(int argc, char** argv) {
   // /healthz keep answering through the whole drain.
   std::atomic<bool> draining{false};
   net::HttpEndpoint http;
-  const bool http_enabled = args.count("http-port") != 0;
+  const bool http_enabled = args.Has("http-port");
   if (http_enabled) {
     http.Handle("/metrics", [&server] {
       net::HttpReply reply;
@@ -209,15 +201,12 @@ int Main(int argc, char** argv) {
       }
       return reply;
     });
-    net::HttpOptions http_options;
-    http_options.port = static_cast<std::uint16_t>(
-        std::atoi(GetArg(args, "http-port", "0").c_str()));
     Status http_started = http.Start(http_options);
     if (!http_started.ok()) {
       WriteMetricsJson(metrics_path, server);
       return Fail(http_started);
     }
-    const std::string http_port_file = GetArg(args, "http-port-file", "");
+    const std::string http_port_file = args.Get("http-port-file");
     if (!http_port_file.empty()) {
       std::ofstream out(http_port_file, std::ios::trunc);
       out << http.port() << "\n";
@@ -265,8 +254,6 @@ int Main(int argc, char** argv) {
   // the grace window to route traffic away before requests start meeting
   // a closed listener.
   draining.store(true, std::memory_order_release);
-  const double drain_grace_ms =
-      std::atof(GetArg(args, "drain-grace-ms", "0").c_str());
   if (http_enabled && drain_grace_ms > 0.0) {
     LogInfo("serve: shutdown requested, readyz now 503, grace " +
             std::to_string(drain_grace_ms) + " ms");

@@ -19,60 +19,30 @@
 // Exit status: 0 on a clean run, 1 when the daemon cannot be reached or a
 // scrape goes unanswered.
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <chrono>
-#include <fstream>
-#include <map>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/json.h"
 #include "common/status.h"
 #include "net/protocol.h"
 #include "net/socket.h"
+#include "tools/tool_args.h"
 
 namespace adarts::top {
 namespace {
 
-using Args = std::map<std::string, std::string>;
+using tools::Args;
+using tools::BadFlag;
+using tools::Fail;
+using tools::FirstError;
 
-Args ParseArgs(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0) key = key.substr(2);
-    // Boolean flags take no operand.
-    if (key == "once" || key == "plain") {
-      args[key] = "1";
-      continue;
-    }
-    if (i + 1 >= argc) break;
-    args[key] = argv[++i];
-  }
-  return args;
-}
-
-std::string GetArg(const Args& args, const std::string& key,
-                   const std::string& fallback) {
-  const auto it = args.find(key);
-  return it != args.end() ? it->second : fallback;
-}
-
-int Usage() {
-  std::fprintf(stderr,
-               "usage: adarts_top (--port N | --port-file FILE)\n"
-               "                  [--interval-ms N] [--iterations N]\n"
-               "                  [--once] [--plain]\n");
-  return 2;
-}
-
-int Fail(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
-}
+constexpr char kUsage[] =
+    "usage: adarts_top (--port N | --port-file FILE)\n"
+    "                  [--interval-ms N] [--iterations N]\n"
+    "                  [--once] [--plain]\n";
 
 double Num(const json::JsonValue& v, const char* key) {
   return v.NumberOr(key, 0.0);
@@ -168,30 +138,30 @@ void Render(const json::JsonValue& snap, PrevCounters* prev, bool plain) {
 }
 
 int Main(int argc, char** argv) {
-  const Args args = ParseArgs(argc, argv);
-
-  int port = std::atoi(GetArg(args, "port", "0").c_str());
-  const std::string port_file = GetArg(args, "port-file", "");
-  if (port == 0 && !port_file.empty()) {
-    std::ifstream in(port_file);
-    in >> port;
+  const Result<Args> parsed = Args::Parse(argc, argv, 1, {"once", "plain"});
+  if (!parsed.ok()) return BadFlag(parsed.status());
+  const Args& args = *parsed;
+  const Result<std::uint16_t> port = tools::DaemonPort(args);
+  double interval_ms = 1000.0;
+  std::uint64_t iterations = 0;
+  const Status flags = FirstError({
+      port.status(),
+      args.GetDouble("interval-ms", &interval_ms),
+      args.GetUint("iterations", &iterations),
+  });
+  if (!flags.ok()) {
+    std::fputs(kUsage, stderr);
+    return BadFlag(flags);
   }
-  if (port <= 0 || port > 65535) return Usage();
-
-  const bool once = args.count("once") != 0;
-  const bool plain = once || args.count("plain") != 0;
-  const double interval_ms =
-      std::atof(GetArg(args, "interval-ms", "1000").c_str());
-  const std::uint64_t iterations =
-      once ? 1
-           : static_cast<std::uint64_t>(
-                 std::atoll(GetArg(args, "iterations", "0").c_str()));
+  const bool once = args.Has("once");
+  const bool plain = once || args.Has("plain");
+  if (once) iterations = 1;
 
   // A SIGPIPE from a daemon that exits mid-poll must not kill the
   // dashboard; the write error is handled below.
   std::signal(SIGPIPE, SIG_IGN);
 
-  auto sock = net::ConnectTcp("127.0.0.1", static_cast<std::uint16_t>(port));
+  auto sock = net::ConnectTcp("127.0.0.1", *port);
   if (!sock.ok()) return Fail(sock.status());
   Status timeout_set = sock->SetReceiveTimeout(10.0);
   if (!timeout_set.ok()) return Fail(timeout_set);

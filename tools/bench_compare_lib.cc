@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/json.h"
+#include "tools/tool_args.h"
 
 namespace adarts::tools {
 namespace {
@@ -369,24 +370,23 @@ int RunBenchCompare(const std::vector<std::string>& args,
     };
     // A tolerance must parse fully as a non-negative number; `--rel-tol
     // bogus` silently meaning zero would make the gate strict by accident.
-    const auto parse_tol = [&](const char* v, double* out) {
-      char* end = nullptr;
-      const double parsed = std::strtod(v, &end);
-      if (end == v || *end != '\0' || !(parsed >= 0.0)) {
-        Emit(output, std::string("bad tolerance value: ") + v + "\n" + kUsage);
+    const auto parse_tol = [&](const char* flag, const char* v, double* out) {
+      const Result<double> parsed = ParseNonNegativeDouble(flag, v);
+      if (!parsed.ok()) {
+        Emit(output, parsed.status().message() + "\n" + kUsage);
         bad_value = true;
         return;
       }
-      *out = parsed;
+      *out = *parsed;
     };
     if (args[i] == "--check-perf") {
       options.check_perf = true;
     } else if (const char* v = value_of("--rel-tol")) {
-      parse_tol(v, &options.rel_tol);
+      parse_tol("rel-tol", v, &options.rel_tol);
     } else if (const char* v = value_of("--abs-tol")) {
-      parse_tol(v, &options.abs_tol);
+      parse_tol("abs-tol", v, &options.abs_tol);
     } else if (const char* v = value_of("--perf-rel-tol")) {
-      parse_tol(v, &options.perf_rel_tol);
+      parse_tol("perf-rel-tol", v, &options.perf_rel_tol);
     } else if (!args[i].empty() && args[i][0] == '-') {
       Emit(output, std::string("unknown flag ") + args[i] + "\n" + kUsage);
       return 2;

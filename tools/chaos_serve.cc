@@ -45,7 +45,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -61,28 +60,13 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/socket.h"
+#include "tools/tool_args.h"
 #include "ts/time_series.h"
 
 namespace adarts::chaos {
 namespace {
 
-using Args = std::map<std::string, std::string>;
-
-Args ParseArgs(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0) key = key.substr(2);
-    args[key] = argv[i + 1];
-  }
-  return args;
-}
-
-std::string GetArg(const Args& args, const std::string& key,
-                   const std::string& fallback) {
-  const auto it = args.find(key);
-  return it != args.end() ? it->second : fallback;
-}
+using tools::Args;
 
 /// Hard assertion: chaos invariants are never "mostly" true.
 void Check(bool ok, const std::string& what) {
@@ -843,16 +827,22 @@ void PhaseDrain(net::Server* server, double qps) {
 // ---------------------------------------------------------------------------
 
 int Main(int argc, char** argv) {
-  const Args args = ParseArgs(argc, argv);
-  const double qps = std::atof(GetArg(args, "qps", "250").c_str());
-  const std::size_t swaps = static_cast<std::size_t>(
-      std::atol(GetArg(args, "swaps", "8").c_str()));
-  const std::size_t chaos_iters = static_cast<std::size_t>(
-      std::atol(GetArg(args, "chaos-iters", "24").c_str()));
-  std::string dir = GetArg(args, "dir", "");
-  const bool keep = GetArg(args, "keep", "0") == "1";
+  const Result<Args> parsed = Args::Parse(argc, argv);
+  if (!parsed.ok()) return tools::BadFlag(parsed.status());
+  const Args& args = *parsed;
+  double qps = 250.0;
+  std::size_t swaps = 8;
+  std::size_t chaos_iters = 24;
+  const Status flags = tools::FirstError({
+      args.GetDouble("qps", &qps),
+      args.GetUint("swaps", &swaps),
+      args.GetUint("chaos-iters", &chaos_iters),
+  });
+  if (!flags.ok()) return tools::BadFlag(flags);
+  std::string dir = args.Get("dir");
+  const bool keep = args.Get("keep", "0") == "1";
   Check(qps >= 200.0, "chaos traffic must be >= 200 QPS (got " +
-                          GetArg(args, "qps", "250") + ")");
+                          args.Get("qps", "250") + ")");
   Check(swaps >= 2, "need at least 2 swaps for a storm");
 
   if (dir.empty()) {
@@ -863,7 +853,8 @@ int Main(int argc, char** argv) {
 
   std::printf("chaos_serve: training fixture engine...\n");
   std::fflush(stdout);
-  auto trained = Adarts::Train(SmallCorpus(), FastOptions());
+  ExecContext ctx;
+  auto trained = Adarts::Train(SmallCorpus(), FastOptions(), ctx);
   Check(trained.ok(), "fixture training failed: " +
                           trained.status().ToString());
   Adarts engine = std::move(trained).value();

@@ -43,9 +43,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -56,6 +54,7 @@
 #include "common/status.h"
 #include "net/protocol.h"
 #include "net/socket.h"
+#include "tools/tool_args.h"
 #include "ts/time_series.h"
 
 namespace adarts::loadgen {
@@ -63,28 +62,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-using Args = std::map<std::string, std::string>;
+using tools::Args;
+using tools::BadFlag;
+using tools::Fail;
+using tools::FirstError;
 
-Args ParseArgs(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0) key = key.substr(2);
-    args[key] = argv[i + 1];
-  }
-  return args;
-}
-
-std::string GetArg(const Args& args, const std::string& key,
-                   const std::string& fallback) {
-  const auto it = args.find(key);
-  return it != args.end() ? it->second : fallback;
-}
-
-int Fail(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
-}
+/// Cap on --connections: each connection runs a writer and a reader thread.
+constexpr std::size_t kMaxConnections = 1024;
 
 int Usage() {
   std::fprintf(
@@ -149,42 +133,46 @@ struct ConnChannel {
 };
 
 int Main(int argc, char** argv) {
-  const Args args = ParseArgs(argc, argv);
+  const Result<Args> parsed = Args::Parse(argc, argv);
+  if (!parsed.ok()) return BadFlag(parsed.status());
+  const Args& args = *parsed;
 
-  int port = std::atoi(GetArg(args, "port", "0").c_str());
-  const std::string port_file = GetArg(args, "port-file", "");
-  if (port == 0 && !port_file.empty()) {
-    std::ifstream in(port_file);
-    in >> port;
-  }
-  if (port <= 0 || port > 65535) return Usage();
-
-  const double qps = std::atof(GetArg(args, "qps", "200").c_str());
-  const std::size_t requests = static_cast<std::size_t>(
-      std::atol(GetArg(args, "requests", "200").c_str()));
-  const std::size_t connections = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::atol(GetArg(args, "connections", "4").c_str())));
-  const std::string type_name = GetArg(args, "type", "recommend");
-  const std::size_t batch_size = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::atol(GetArg(args, "batch-size", "4").c_str())));
-  const std::size_t length = static_cast<std::size_t>(
-      std::atol(GetArg(args, "length", "64").c_str()));
-  const double missing = std::atof(GetArg(args, "missing", "0.2").c_str());
-  const std::uint64_t seed = static_cast<std::uint64_t>(
-      std::atoll(GetArg(args, "seed", "1").c_str()));
-  const double deadline_ms =
-      std::atof(GetArg(args, "deadline-ms", "0").c_str());
-  const double timeout_s =
-      std::atof(GetArg(args, "timeout-s", "15").c_str());
+  const Result<std::uint16_t> port = tools::DaemonPort(args);
+  double qps = 200.0;
+  std::size_t requests = 200;
+  std::size_t connections = 4;
+  std::size_t batch_size = 4;
+  std::size_t length = 64;
+  double missing = 0.2;
+  std::uint64_t seed = 1;
+  double deadline_ms = 0.0;
+  double timeout_s = 15.0;
   // Bounded extra attempts after a shed; 0 restores shed-is-terminal.
-  const std::uint64_t max_retries = static_cast<std::uint64_t>(
-      std::atoll(GetArg(args, "retries", "3").c_str()));
-  const double retry_base_ms =
-      std::atof(GetArg(args, "retry-base-ms", "2").c_str());
-  const std::size_t scrapes = static_cast<std::size_t>(
-      std::atol(GetArg(args, "scrape", "0").c_str()));
+  std::uint64_t max_retries = 3;
+  double retry_base_ms = 2.0;
+  std::size_t scrapes = 0;
+  const Status flags = FirstError({
+      port.status(),
+      args.GetDouble("qps", &qps),
+      args.GetUint("requests", &requests),
+      args.GetUint("connections", &connections, kMaxConnections),
+      args.GetUint("batch-size", &batch_size),
+      args.GetUint("length", &length),
+      args.GetDouble("missing", &missing),
+      args.GetUint("seed", &seed),
+      args.GetDouble("deadline-ms", &deadline_ms),
+      args.GetDouble("timeout-s", &timeout_s),
+      args.GetUint("retries", &max_retries),
+      args.GetDouble("retry-base-ms", &retry_base_ms),
+      args.GetUint("scrape", &scrapes),
+  });
+  if (!flags.ok()) {
+    Usage();
+    return BadFlag(flags);
+  }
+  connections = std::max<std::size_t>(1, connections);
+  batch_size = std::max<std::size_t>(1, batch_size);
+  const std::string type_name = args.Get("type", "recommend");
 
   net::MessageType type;
   if (type_name == "ping") {
@@ -224,8 +212,7 @@ int Main(int argc, char** argv) {
 
   std::vector<net::Socket> socks(connections);
   for (std::size_t c = 0; c < connections; ++c) {
-    auto sock =
-        net::ConnectTcp("127.0.0.1", static_cast<std::uint16_t>(port));
+    auto sock = net::ConnectTcp("127.0.0.1", *port);
     if (!sock.ok()) return Fail(sock.status());
     socks[c] = std::move(sock).value();
     Status timeout_set = socks[c].SetReceiveTimeout(timeout_s);
@@ -270,8 +257,7 @@ int Main(int argc, char** argv) {
   std::thread scraper;
   if (scrapes > 0) {
     scraper = std::thread([&] {
-      auto sock =
-          net::ConnectTcp("127.0.0.1", static_cast<std::uint16_t>(port));
+      auto sock = net::ConnectTcp("127.0.0.1", *port);
       if (!sock.ok()) return;
       if (!sock->SetReceiveTimeout(timeout_s).ok()) return;
       const double run_s = static_cast<double>(requests) / qps;
@@ -480,7 +466,7 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(scrapes_ok.load()), scrapes);
   }
 
-  const std::string json_path = GetArg(args, "json", "");
+  const std::string json_path = args.Get("json");
   if (!json_path.empty()) {
     std::ofstream out(json_path, std::ios::app);
     char line[2048];
