@@ -7,6 +7,7 @@
 
 #include "cluster/incremental.h"
 #include "common/exec_context.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "labeling/labeler.h"
@@ -211,49 +212,21 @@ std::string Fmt(double v, int precision) {
   return buf;
 }
 
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 void BenchJsonWriter::Record(
     const std::string& bench,
     const std::vector<std::pair<std::string, std::string>>& params,
     double seconds, double checksum, const StageMetrics* stages,
     const std::vector<std::pair<std::string, double>>& metrics) const {
   if (path_.empty()) return;
-  std::string line = "{\"bench\":\"" + JsonEscape(bench) + "\",\"params\":{";
+  std::string line = "{\"bench\":\"" + json::Escape(bench) + "\",\"params\":{";
   bool first = true;
   for (const auto& [key, value] : params) {
     if (!first) line += ',';
     first = false;
     line += '"';
-    line += JsonEscape(key);
+    line += json::Escape(key);
     line += "\":\"";
-    line += JsonEscape(value);
+    line += json::Escape(value);
     line += '"';
   }
   line += "},\"seconds\":" + Fmt(seconds, 6) +
@@ -265,7 +238,7 @@ void BenchJsonWriter::Record(
       if (!first) line += ',';
       first = false;
       line += '"';
-      line += JsonEscape(key);
+      line += json::Escape(key);
       line += "\":";
       line += Fmt(value, 6);
     }

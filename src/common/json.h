@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -42,6 +43,13 @@ struct JsonValue {
 /// nesting deeper than 128 levels (a stack-overflow guard) all return
 /// InvalidArgument with a byte offset.
 Result<JsonValue> ParseJson(const std::string& text);
+
+/// `text` escaped for the inside of a JSON string literal, the one escaper
+/// every JSON writer in the repo shares: quote and backslash get a
+/// backslash, `\n` and `\t` their short forms, the remaining bytes below
+/// 0x20 become `\u00XX` (RFC 8259 forbids them raw) and all others pass
+/// through, so `ParseJson` reads back exactly `text`.
+std::string Escape(std::string_view text);
 
 }  // namespace adarts::json
 

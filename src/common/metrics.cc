@@ -6,44 +6,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
+
 namespace adarts {
-
-namespace {
-
-/// Escapes the characters JSON string literals cannot hold verbatim. Metric
-/// names are plain identifiers today, but the writer must not emit broken
-/// JSON if that ever changes.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::uint64_t StageMetrics::Counter(const std::string& name) const {
   const auto it = counters.find(name);
@@ -67,7 +32,7 @@ std::string StageMetrics::ToJson() const {
   for (const auto& [name, value] : counters) {
     if (!first) out << ',';
     first = false;
-    out << '"' << JsonEscape(name) << "\":" << value;
+    out << '"' << json::Escape(name) << "\":" << value;
   }
   out << "},\"spans_seconds\":{";
   first = true;
@@ -76,14 +41,15 @@ std::string StageMetrics::ToJson() const {
     first = false;
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.6f", seconds);
-    out << '"' << JsonEscape(name) << "\":" << buf;
+    out << '"' << json::Escape(name) << "\":" << buf;
   }
   out << "},\"histograms\":{";
   first = true;
   for (const auto& [name, snapshot] : histograms) {
     if (!first) out << ',';
     first = false;
-    out << '"' << JsonEscape(name) << "\":" << HistogramSnapshotToJson(snapshot);
+    out << '"' << json::Escape(name)
+        << "\":" << HistogramSnapshotToJson(snapshot);
   }
   out << "}}";
   return out.str();

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "common/json.h"
 #include "common/log.h"
 
 namespace adarts {
@@ -32,38 +33,6 @@ std::uint64_t SteadyNowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-/// Escapes text for a JSON string literal (same rules as the metrics
-/// writer: quotes, backslashes, and control characters).
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -233,7 +202,7 @@ std::string Tracer::ToJson() const {
                   "\"name\":\"thread_name\",\"args\":{\"name\":\"",
                   buffer->tid);
     out += buf;
-    out += JsonEscape(buffer->thread_name);
+    out += json::Escape(buffer->thread_name);
     out += "\"}}";
   }
   for (const auto& buffer : buffers) {
@@ -264,14 +233,14 @@ std::string Tracer::ToJson() const {
           break;
       }
       out += buf;
-      out += JsonEscape(e.name);
+      out += json::Escape(e.name);
       out += '"';
       if (e.kind == Kind::kCounter) {
         std::snprintf(buf, sizeof(buf), ",\"args\":{\"value\":%.6f}", e.value);
         out += buf;
       } else if (e.detail[0] != '\0') {
         out += ",\"args\":{\"detail\":\"";
-        out += JsonEscape(e.detail);
+        out += json::Escape(e.detail);
         out += "\"}";
       }
       out += '}';

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -14,6 +15,19 @@
 namespace adarts::net {
 
 namespace {
+
+constexpr int kBacklog = 16;
+/// Hard cap on one request's header bytes: anything longer is answered 400
+/// and dropped, the same "validate before allocating" contract the frame
+/// decoder applies (DESIGN.md §14).
+constexpr std::size_t kMaxRequestBytes = 8192;
+/// SO_RCVTIMEO per connection: a scraper that connects and stalls is cut
+/// loose instead of pinning a thread.
+constexpr double kReadTimeoutSeconds = 5.0;
+/// Concurrent connection threads; beyond the cap connections are answered
+/// 503 and closed (the scrape analogue of the frame server's
+/// accept-then-refuse).
+constexpr std::size_t kMaxConnections = 32;
 
 const char* ReasonPhrase(int status) {
   switch (status) {
@@ -188,10 +202,8 @@ void HttpEndpoint::Handle(std::string path, HttpHandler handler) {
   handlers_[std::move(path)] = std::move(handler);
 }
 
-Status HttpEndpoint::Start(HttpOptions options) {
-  options_ = options;
-  ADARTS_ASSIGN_OR_RETURN(listener_,
-                          ListenTcp(options_.port, options_.backlog, &port_));
+Status HttpEndpoint::Start(std::uint16_t port) {
+  ADARTS_ASSIGN_OR_RETURN(listener_, ListenTcp(port, kBacklog, &port_));
   int fds[2];
   if (::pipe(fds) != 0) {
     return Status::Internal(std::string("http wake pipe: ") +
@@ -235,7 +247,7 @@ void HttpEndpoint::AcceptLoop() {
     }
     Socket sock = std::move(accepted).value();
     if (active_connections_.load(std::memory_order_acquire) >=
-        options_.max_connections) {
+        kMaxConnections) {
       // Scrape-storm backpressure: explicit 503, never an unbounded thread
       // per excess scraper.
       WriteReply(sock, PlainReply(503, "too many connections\n"));
@@ -250,19 +262,17 @@ void HttpEndpoint::AcceptLoop() {
 }
 
 void HttpEndpoint::ServeConnection(Socket sock) {
-  (void)sock.SetReceiveTimeout(options_.read_timeout_s);
+  (void)sock.SetReceiveTimeout(kReadTimeoutSeconds);
   // Read until the end of the header block (or EOF / timeout / size cap).
   // The buffer is capped BEFORE any read can grow it past
-  // max_request_bytes — a hostile endless request line dies at the cap,
+  // kMaxRequestBytes — a hostile endless request line dies at the cap,
   // exactly as an oversized frame length dies before allocation.
   std::string request;
   bool complete = false;
-  while (request.size() < options_.max_request_bytes) {
+  while (request.size() < kMaxRequestBytes) {
     char chunk[1024];
-    const std::size_t want = options_.max_request_bytes - request.size() <
-                                     sizeof(chunk)
-                                 ? options_.max_request_bytes - request.size()
-                                 : sizeof(chunk);
+    const std::size_t want =
+        std::min(kMaxRequestBytes - request.size(), sizeof(chunk));
     auto got = sock.ReadSome(chunk, want);
     if (!got.ok() || *got == 0) break;
     request.append(chunk, *got);

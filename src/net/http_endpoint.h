@@ -25,24 +25,6 @@ struct HttpReply {
 /// Handler for one GET path, invoked per request on the connection thread.
 using HttpHandler = std::function<HttpReply()>;
 
-/// Knobs of the plain-HTTP telemetry sidecar.
-struct HttpOptions {
-  /// Port on 127.0.0.1; 0 picks an ephemeral port (read back via `port()`).
-  std::uint16_t port = 0;
-  int backlog = 16;
-  /// Hard cap on one request's header bytes: anything longer is answered
-  /// 400 and dropped, the same "validate before allocating" contract the
-  /// frame decoder applies (DESIGN.md §14).
-  std::size_t max_request_bytes = 8192;
-  /// SO_RCVTIMEO per connection: a scraper that connects and stalls is cut
-  /// loose instead of pinning a thread.
-  double read_timeout_s = 5.0;
-  /// Concurrent connection threads; beyond the cap connections are answered
-  /// 503 and closed (the scrape analogue of the frame server's
-  /// accept-then-refuse).
-  std::size_t max_connections = 32;
-};
-
 /// A deliberately minimal, hostile-input-hardened HTTP/1.1 listener for the
 /// telemetry plane (DESIGN.md §14): `GET /metrics`, `GET /healthz`,
 /// `GET /readyz`. It is NOT a general web server — GET only, no keep-alive
@@ -65,7 +47,9 @@ class HttpEndpoint {
   /// Must be called before Start.
   void Handle(std::string path, HttpHandler handler);
 
-  Status Start(HttpOptions options);
+  /// Binds 127.0.0.1:`port` (0 picks an ephemeral port, read back via
+  /// `port()`) and spawns the accept thread.
+  Status Start(std::uint16_t port);
 
   /// The bound port (valid after Start).
   std::uint16_t port() const { return port_; }
@@ -78,7 +62,6 @@ class HttpEndpoint {
   void AcceptLoop();
   void ServeConnection(Socket sock);
 
-  HttpOptions options_;
   std::map<std::string, HttpHandler> handlers_;
   std::uint16_t port_ = 0;
   Socket listener_;

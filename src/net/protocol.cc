@@ -324,4 +324,31 @@ Result<std::string> ReadFrame(Socket& socket, std::size_t max_body_bytes) {
   return body;
 }
 
+Status WriteRequest(Socket& socket, const Request& request) {
+  return WriteFrame(socket, EncodeRequest(request));
+}
+
+Result<Response> ReadResponse(Socket& socket) {
+  ADARTS_ASSIGN_OR_RETURN(std::string body, ReadFrame(socket));
+  return DecodeResponse(body);
+}
+
+Result<Response> Call(Socket& socket, const Request& request) {
+  const Status written = WriteRequest(socket, request);
+  // An oversized request is refused before a byte is sent: nothing to read.
+  if (written.code() == StatusCode::kInvalidArgument) return written;
+  Result<Response> response = ReadResponse(socket);
+  if (!response.ok()) return written.ok() ? response.status() : written;
+  if (response->ok() &&
+      (response->type != request.type || response->id != request.id)) {
+    return Status::Internal(
+        "reply echoes type " +
+        std::to_string(static_cast<int>(response->type)) + " id " +
+        std::to_string(response->id) + ", expected type " +
+        std::to_string(static_cast<int>(request.type)) + " id " +
+        std::to_string(request.id));
+  }
+  return response;
+}
+
 }  // namespace adarts::net

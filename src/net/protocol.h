@@ -132,6 +132,22 @@ Status WriteFrame(Socket& socket, std::string_view body);
 Result<std::string> ReadFrame(Socket& socket,
                               std::size_t max_body_bytes = kMaxFrameBytes);
 
+/// The client side: encodes `request` and writes it as one frame.
+Status WriteRequest(Socket& socket, const Request& request);
+
+/// Reads one frame and decodes it as a response.
+Result<Response> ReadResponse(Socket& socket);
+
+/// One request/response exchange on `socket`:
+///   * an OK reply must echo the request's type and id, else `kInternal`;
+///   * a non-OK reply is returned as is — the server writes its cap refusal
+///     and its decode-error reply before it knows an id;
+///   * a failed write still reads: at the connection cap the server writes
+///     its refusal and closes without reading, so the write can hit a
+///     broken pipe while the refusal waits in the receive buffer. The write
+///     error is returned only when no reply can be read.
+Result<Response> Call(Socket& socket, const Request& request);
+
 }  // namespace adarts::net
 
 #endif  // ADARTS_NET_PROTOCOL_H_

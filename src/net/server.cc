@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "common/failpoint.h"
+#include "common/json.h"
 #include "common/log.h"
 #include "common/trace.h"
 #include "impute/imputer.h"
@@ -20,6 +21,8 @@
 namespace adarts::net {
 
 namespace {
+
+constexpr int kBacklog = 64;
 
 std::uint64_t SteadyNowNs() {
   return static_cast<std::uint64_t>(
@@ -48,58 +51,18 @@ ts::TimeSeries CanarySeries() {
   return series;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string FormatDouble(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6f", v);
   return buf;
 }
 
-void AppendHistogramJson(std::ostringstream* out,
-                         const HistogramSnapshot& snapshot) {
-  *out << "{\"count\":" << snapshot.count << ",\"sum_ns\":" << snapshot.sum_ns
-       << ",\"max_ns\":" << snapshot.max_ns << ",\"p50_ns\":" << snapshot.p50_ns
-       << ",\"p90_ns\":" << snapshot.p90_ns << ",\"p99_ns\":" << snapshot.p99_ns
-       << "}";
-}
-
 void AppendWindowJson(std::ostringstream* out,
                       const WindowedSnapshot& window) {
   *out << "{\"window_seconds\":" << FormatDouble(window.window_seconds)
        << ",\"covered_seconds\":" << FormatDouble(window.covered_seconds)
-       << ",\"histogram\":";
-  AppendHistogramJson(out, window.histogram);
-  *out << "}";
+       << ",\"histogram\":" << HistogramSnapshotToJson(window.histogram)
+       << "}";
 }
 
 }  // namespace
@@ -130,9 +93,9 @@ std::string ServeTelemetry::ToJson() const {
     if (!first) out << ',';
     first = false;
     out << "{\"engine_version\":" << record.engine_version << ",\"path\":\""
-        << JsonEscape(record.path) << "\",\"success\":"
+        << json::Escape(record.path) << "\",\"success\":"
         << (record.success ? "true" : "false") << ",\"detail\":\""
-        << JsonEscape(record.detail) << "\"}";
+        << json::Escape(record.detail) << "\"}";
   }
   out << "],\"window_latency\":";
   AppendWindowJson(&out, window_latency);
@@ -164,7 +127,7 @@ Server::~Server() {
 
 Status Server::Start() {
   ADARTS_ASSIGN_OR_RETURN(listener_,
-                          ListenTcp(options_.port, options_.backlog, &port_));
+                          ListenTcp(options_.port, kBacklog, &port_));
   int fds[2];
   if (::pipe(fds) != 0) {
     return Status::Internal(std::string("server wake pipe: ") +
@@ -308,7 +271,7 @@ void Server::ReaderLoop(std::shared_ptr<ConnState> conn) {
   MetricCounter* received = metrics_.counter("serve.requests");
   MetricCounter* shed = metrics_.counter("serve.shed");
   while (true) {
-    auto frame = ReadFrame(conn->sock, options_.max_frame_bytes);
+    auto frame = ReadFrame(conn->sock);
     if (!frame.ok()) {
       // kUnavailable = clean client disconnect; anything else is logged.
       if (frame.status().code() != StatusCode::kUnavailable) {

@@ -28,7 +28,6 @@ struct ServeOptions {
   /// TCP port on 127.0.0.1; 0 picks an ephemeral port (read it back via
   /// `Server::port()`).
   std::uint16_t port = 0;
-  int backlog = 64;
   /// Request executor threads. Each owns one long-lived `ExecContext`, so
   /// with the default single worker every request drives through one shared
   /// context; more workers trade strict sharing for parallel requests and
@@ -51,7 +50,6 @@ struct ServeOptions {
   /// Default per-request deadline (measured from admission) applied when a
   /// request carries none; <= 0 disables.
   double default_deadline_ms = 0.0;
-  std::size_t max_frame_bytes = kMaxFrameBytes;
   /// Test-only: run by the executing worker right before each admitted
   /// request (never for shed or expired-deadline short-circuits). Lets
   /// tests hold a worker mid-request to fill the queue deterministically.

@@ -13,39 +13,17 @@
 namespace adarts {
 namespace {
 
-TrainOptions FastOptions() {
-  TrainOptions opts;
-  // Small pool and race keep the integration tests quick while exercising
-  // every stage.
-  opts.labeling.algorithms = {
-      impute::Algorithm::kCdRec, impute::Algorithm::kSvdImpute,
-      impute::Algorithm::kTkcm, impute::Algorithm::kLinearInterp,
-      impute::Algorithm::kMeanImpute};
-  opts.race.num_seed_pipelines = 12;
-  opts.race.num_partial_sets = 2;
-  opts.race.num_folds = 2;
-  opts.features.landmarks = 16;
-  return opts;
-}
+using testing::FastOptions;
+using testing::SmallCorpus;
 
-std::vector<ts::TimeSeries> SmallCorpus() {
-  data::GeneratorOptions gopts;
-  gopts.num_series = 12;
-  gopts.length = 160;
-  std::vector<ts::TimeSeries> corpus;
-  for (data::Category c :
-       {data::Category::kClimate, data::Category::kMotion,
-        data::Category::kMedical}) {
-    for (auto& s : data::GenerateCategory(c, gopts)) {
-      corpus.push_back(std::move(s));
-    }
-  }
-  return corpus;
-}
+/// The three categories these engine tests train on.
+const std::vector<data::Category> kCategories = {
+    data::Category::kClimate, data::Category::kMotion,
+    data::Category::kMedical};
 
 TEST(AdartsIntegrationTest, TrainsAndRecommendsFromPool) {
   ExecContext ctx;
-  auto engine = Adarts::Train(SmallCorpus(), FastOptions(), ctx);
+  auto engine = Adarts::Train(SmallCorpus(kCategories), FastOptions(), ctx);
   ASSERT_TRUE(engine.ok()) << engine.status();
   EXPECT_GE(engine->committee_size(), 1u);
   EXPECT_EQ(engine->algorithm_pool().size(), 5u);
@@ -76,7 +54,7 @@ TEST(AdartsIntegrationTest, TrainsAndRecommendsFromPool) {
 
 TEST(AdartsIntegrationTest, RepairFillsAllGapsAndIsAccurate) {
   ExecContext ctx;
-  auto engine = Adarts::Train(SmallCorpus(), FastOptions(), ctx);
+  auto engine = Adarts::Train(SmallCorpus(kCategories), FastOptions(), ctx);
   ASSERT_TRUE(engine.ok()) << engine.status();
 
   data::GeneratorOptions gopts;
@@ -108,7 +86,7 @@ TEST(AdartsIntegrationTest, RepairFillsAllGapsAndIsAccurate) {
 
 TEST(AdartsIntegrationTest, RepairSetUsesMajorityVote) {
   ExecContext ctx;
-  auto engine = Adarts::Train(SmallCorpus(), FastOptions(), ctx);
+  auto engine = Adarts::Train(SmallCorpus(kCategories), FastOptions(), ctx);
   ASSERT_TRUE(engine.ok());
 
   data::GeneratorOptions gopts;
@@ -130,7 +108,7 @@ TEST(AdartsIntegrationTest, RepairSetUsesMajorityVote) {
 
 TEST(AdartsIntegrationTest, CompleteSeriesPassThrough) {
   ExecContext ctx;
-  auto engine = Adarts::Train(SmallCorpus(), FastOptions(), ctx);
+  auto engine = Adarts::Train(SmallCorpus(kCategories), FastOptions(), ctx);
   ASSERT_TRUE(engine.ok());
   const ts::TimeSeries complete = testing::MakeSine(160, 20.0);
   auto repaired = engine->Repair(complete, ctx);

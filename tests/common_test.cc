@@ -1,8 +1,10 @@
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
@@ -199,6 +201,21 @@ TEST(StopwatchTest, MeasuresElapsedTime) {
   for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
   EXPECT_GE(w.ElapsedSeconds(), 0.0);
   EXPECT_GE(w.ElapsedMillis(), w.ElapsedSeconds() * 1000.0 * 0.5);
+}
+
+TEST(JsonTest, EscapeRoundTripsEveryAsciiByte) {
+  for (int byte = 0; byte < 0x80; ++byte) {
+    const std::string text{'a', static_cast<char>(byte), 'z'};
+    const std::string escaped = json::Escape(text);
+    for (const char c : escaped) {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20)
+          << "raw control byte in the escape of byte " << byte;
+    }
+    auto parsed = json::ParseJson("\"" + escaped + "\"");
+    ASSERT_TRUE(parsed.ok()) << "byte " << byte << ": " << parsed.status();
+    ASSERT_TRUE(parsed->is_string());
+    EXPECT_EQ(parsed->str, text) << "byte " << byte;
+  }
 }
 
 }  // namespace

@@ -116,33 +116,13 @@ TEST(FailpointRegistryTest, CanonicalSiteListIsSortedAndUnique) {
 // ---------------------------------------------------------------------------
 // Engine fixtures shared by the sweep and the behaviour tests.
 
-TrainOptions FastOptions() {
-  TrainOptions opts;
-  opts.labeling.algorithms = {
-      impute::Algorithm::kCdRec, impute::Algorithm::kSvdImpute,
-      impute::Algorithm::kTkcm, impute::Algorithm::kLinearInterp,
-      impute::Algorithm::kMeanImpute};
-  opts.race.num_seed_pipelines = 12;
-  opts.race.num_partial_sets = 2;
-  opts.race.num_folds = 2;
-  opts.features.landmarks = 16;
-  return opts;
-}
+using testing::FastOptions;
+using testing::SmallCorpus;
 
-std::vector<ts::TimeSeries> SmallCorpus() {
-  data::GeneratorOptions gopts;
-  gopts.num_series = 12;
-  gopts.length = 160;
-  std::vector<ts::TimeSeries> corpus;
-  for (data::Category c :
-       {data::Category::kClimate, data::Category::kMotion,
-        data::Category::kMedical}) {
-    for (auto& s : data::GenerateCategory(c, gopts)) {
-      corpus.push_back(std::move(s));
-    }
-  }
-  return corpus;
-}
+/// The three categories these engine tests train on.
+const std::vector<data::Category> kCategories = {
+    data::Category::kClimate, data::Category::kMotion,
+    data::Category::kMedical};
 
 std::vector<ts::TimeSeries> FaultySet(std::size_t count, std::uint64_t seed) {
   data::GeneratorOptions gopts;
@@ -172,10 +152,7 @@ void ServeRoundTrip(std::uint16_t port, const net::Request& request) {
   auto sock = net::ConnectTcp("127.0.0.1", port);
   if (!sock.ok()) return;
   (void)sock->SetReceiveTimeout(2.0);
-  if (!net::WriteFrame(*sock, net::EncodeRequest(request)).ok()) return;
-  auto frame = net::ReadFrame(*sock);
-  if (!frame.ok()) return;
-  (void)net::DecodeResponse(*frame);
+  (void)net::Call(*sock, request);
 }
 
 // ---------------------------------------------------------------------------
@@ -185,7 +162,7 @@ void ServeRoundTrip(std::uint16_t port, const net::Request& request) {
 // or trips a sanitizer. Each site must also actually fire somewhere.
 
 TEST(FaultInjectionSweepTest, EverySiteFailsCleanlyAcrossTheEngineSurface) {
-  const auto corpus = SmallCorpus();
+  const auto corpus = SmallCorpus(kCategories);
   const auto options = FastOptions();
   ExecContext healthy_ctx;
   auto healthy = Adarts::Train(corpus, options, healthy_ctx);
@@ -370,7 +347,7 @@ TEST(CancellationTest, PreCancelledTrainReturnsCancelled) {
   CancellationToken token;
   token.Cancel();
   ExecContext ctx(0, &token);
-  auto engine = Adarts::Train(SmallCorpus(), FastOptions(), ctx);
+  auto engine = Adarts::Train(SmallCorpus(kCategories), FastOptions(), ctx);
   ASSERT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kCancelled);
 }
@@ -378,14 +355,15 @@ TEST(CancellationTest, PreCancelledTrainReturnsCancelled) {
 TEST(CancellationTest, ExpiredDeadlineTrainReturnsDeadlineExceeded) {
   CancellationToken token = CancellationToken::WithDeadline(0.0);
   ExecContext ctx(0, &token);
-  auto engine = Adarts::Train(SmallCorpus(), FastOptions(), ctx);
+  auto engine = Adarts::Train(SmallCorpus(kCategories), FastOptions(), ctx);
   ASSERT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(CancellationTest, PreCancelledBatchFillsEverySlotWithCancelled) {
   ExecContext train_ctx;
-  auto engine = Adarts::Train(SmallCorpus(), FastOptions(), train_ctx);
+  auto engine =
+      Adarts::Train(SmallCorpus(kCategories), FastOptions(), train_ctx);
   ASSERT_TRUE(engine.ok()) << engine.status();
   const auto set = FaultySet(4, 55);
   CancellationToken token;
@@ -486,7 +464,7 @@ TEST(ModelRaceBudgetTest, EliminationsRecordReasons) {
 
 TEST(DegradationLadderTest, HealthyCommitteeReportsFullCommittee) {
   ExecContext ctx;
-  auto engine = Adarts::Train(SmallCorpus(), FastOptions(), ctx);
+  auto engine = Adarts::Train(SmallCorpus(kCategories), FastOptions(), ctx);
   ASSERT_TRUE(engine.ok()) << engine.status();
   const auto set = FaultySet(1, 77);
   auto rec = engine->RecommendEx(set[0]);
@@ -499,7 +477,7 @@ TEST(DegradationLadderTest, HealthyCommitteeReportsFullCommittee) {
 
 TEST(DegradationLadderTest, AllMembersFailingFallsBackToDefaultClass) {
   ExecContext ctx;
-  auto engine = Adarts::Train(SmallCorpus(), FastOptions(), ctx);
+  auto engine = Adarts::Train(SmallCorpus(kCategories), FastOptions(), ctx);
   ASSERT_TRUE(engine.ok()) << engine.status();
   const auto set = FaultySet(1, 78);
   ScopedFailpoint fp("automl.vote.member");  // every member, every call
@@ -523,7 +501,7 @@ TEST(DegradationLadderTest, RankingFollowsTheLadderWhenAllMembersFail) {
       impute::Algorithm::kSvdImpute, impute::Algorithm::kTkcm,
       impute::Algorithm::kLinearInterp};
   ExecContext ctx;
-  auto engine = Adarts::Train(SmallCorpus(), options, ctx);
+  auto engine = Adarts::Train(SmallCorpus(kCategories), options, ctx);
   ASSERT_TRUE(engine.ok()) << engine.status();
   ASSERT_NE(engine->default_class(), 0);
   const auto set = FaultySet(1, 78);
@@ -542,7 +520,8 @@ TEST(DegradationLadderTest, RankingFollowsTheLadderWhenAllMembersFail) {
 // the same counters and the same layer spans, healthy or degraded.
 TEST(DegradationLadderTest, EveryEntryPointRecordsARequestTheSameWay) {
   ExecContext train_ctx;
-  auto engine = Adarts::Train(SmallCorpus(), FastOptions(), train_ctx);
+  auto engine =
+      Adarts::Train(SmallCorpus(kCategories), FastOptions(), train_ctx);
   ASSERT_TRUE(engine.ok()) << engine.status();
   const ts::TimeSeries series = FaultySet(1, 80)[0];
   for (bool armed : {false, true}) {
@@ -584,7 +563,7 @@ TEST(DegradationLadderTest, PartialMemberFailureStillVotes) {
   TrainOptions options = FastOptions();
   options.race.gamma = 0.0;
   ExecContext ctx;
-  auto engine = Adarts::Train(SmallCorpus(), options, ctx);
+  auto engine = Adarts::Train(SmallCorpus(kCategories), options, ctx);
   ASSERT_TRUE(engine.ok()) << engine.status();
   ASSERT_GE(engine->committee_size(), 2u)
       << "needs a committee of >= 2 to degrade partially";
@@ -605,7 +584,7 @@ TEST(DegradationLadderTest, PartialMemberFailureStillVotes) {
 
 TEST(RecommendBatchTest, AggregateErrorNamesEveryFailedSeries) {
   ExecContext ctx;
-  auto engine = Adarts::Train(SmallCorpus(), FastOptions(), ctx);
+  auto engine = Adarts::Train(SmallCorpus(kCategories), FastOptions(), ctx);
   ASSERT_TRUE(engine.ok()) << engine.status();
   auto batch = FaultySet(1, 91);
   // Two series far too short to featurize: both must be reported.
@@ -621,7 +600,7 @@ TEST(RecommendBatchTest, AggregateErrorNamesEveryFailedSeries) {
 
 TEST(RecommendBatchTest, PartialExposesPerSeriesStatuses) {
   ExecContext ctx;
-  auto engine = Adarts::Train(SmallCorpus(), FastOptions(), ctx);
+  auto engine = Adarts::Train(SmallCorpus(kCategories), FastOptions(), ctx);
   ASSERT_TRUE(engine.ok()) << engine.status();
   auto batch = FaultySet(1, 92);
   batch.push_back(ts::TimeSeries(la::Vector{1.0, 2.0, 3.0}));
@@ -633,7 +612,7 @@ TEST(RecommendBatchTest, PartialExposesPerSeriesStatuses) {
 
 TEST(RecommendBatchTest, DegradedModeFillsFailuresWithDefaultAlgorithm) {
   ExecContext ctx;
-  auto engine = Adarts::Train(SmallCorpus(), FastOptions(), ctx);
+  auto engine = Adarts::Train(SmallCorpus(kCategories), FastOptions(), ctx);
   ASSERT_TRUE(engine.ok()) << engine.status();
   auto batch = FaultySet(1, 93);
   batch.push_back(ts::TimeSeries(la::Vector{1.0, 2.0, 3.0}));
@@ -659,7 +638,7 @@ TEST(RepairFallbackTest, FailingWinnerDegradesToLinearInterp) {
       impute::Algorithm::kSoftImpute, impute::Algorithm::kTeNmf,
       impute::Algorithm::kDynaMmo};
   ExecContext ctx;
-  auto engine = Adarts::Train(SmallCorpus(), options, ctx);
+  auto engine = Adarts::Train(SmallCorpus(kCategories), options, ctx);
   ASSERT_TRUE(engine.ok()) << engine.status();
   const auto set = FaultySet(3, 95);
 

@@ -1,5 +1,6 @@
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,10 @@ struct ForecasterCase {
   const char* name;
   std::function<std::unique_ptr<Forecaster>()> factory;
 };
+
+// Without a printer gtest lists the parameter as the struct's raw bytes,
+// which hold load addresses, so the ctest names changed on every build.
+void PrintTo(const ForecasterCase& c, std::ostream* os) { *os << c.name; }
 
 class ForecasterContractTest : public ::testing::TestWithParam<ForecasterCase> {
 };

@@ -5,6 +5,7 @@
 
 #include <poll.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -336,6 +337,68 @@ TEST(NetTest, FrameRoundTripsAndRejectsOversizePrefix) {
   auto rejected = net::ReadFrame(pair.server, /*max_body_bytes=*/1 << 16);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+}
+
+// --- client calls --------------------------------------------------------
+
+net::Response Refusal() {
+  net::Response refusal;
+  refusal.code = StatusCode::kUnavailable;
+  refusal.message = "connection limit reached, retry later";
+  return refusal;
+}
+
+TEST(NetTest, CallReadsTheReplyBehindAFailedWrite) {
+  Loopback pair = MakePair();
+  // The server end acts like a server at its connection cap: it writes the
+  // refusal and closes without reading.
+  ASSERT_TRUE(
+      net::WriteFrame(pair.server, net::EncodeResponse(Refusal())).ok());
+  pair.server.Close();
+  // Single raw bytes until one fails, which means the peer's reset landed.
+  bool write_failed = false;
+  for (int i = 0; i < 1000 && !write_failed; ++i) {
+    write_failed = !pair.client.WriteAll("x", 1).ok();
+    if (!write_failed) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ASSERT_TRUE(write_failed) << "the closed peer never reset the connection";
+
+  net::Request ping;
+  ping.id = 5;
+  auto response = net::Call(pair.client, ping);
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->code, StatusCode::kUnavailable);
+  EXPECT_EQ(response->message, Refusal().message);
+}
+
+TEST(NetTest, CallChecksTheEchoOnlyOnOkReplies) {
+  Loopback pair = MakePair();
+  net::Request ping;
+  ping.id = 41;
+  net::Response echo;
+  echo.id = 41;
+  ASSERT_TRUE(net::WriteFrame(pair.server, net::EncodeResponse(echo)).ok());
+  auto matched = net::Call(pair.client, ping);
+  ASSERT_TRUE(matched.ok()) << matched.status();
+  EXPECT_TRUE(matched->ok());
+
+  // An OK reply to another id is a broken exchange.
+  echo.id = 42;
+  ASSERT_TRUE(net::WriteFrame(pair.server, net::EncodeResponse(echo)).ok());
+  auto mismatched = net::Call(pair.client, ping);
+  ASSERT_FALSE(mismatched.ok());
+  EXPECT_EQ(mismatched.status().code(), StatusCode::kInternal);
+
+  // A refusal written before the server knew an id comes back unchanged.
+  ASSERT_TRUE(
+      net::WriteFrame(pair.server, net::EncodeResponse(Refusal())).ok());
+  auto refused = net::Call(pair.client, ping);
+  ASSERT_TRUE(refused.ok()) << refused.status();
+  EXPECT_EQ(refused->code, StatusCode::kUnavailable);
+  EXPECT_EQ(refused->id, 0u);
+  EXPECT_EQ(refused->message, Refusal().message);
 }
 
 }  // namespace

@@ -16,59 +16,15 @@
 #include <gtest/gtest.h>
 
 #include "adarts/adarts.h"
-#include "data/generators.h"
 #include "net/server.h"
-#include "tests/test_util.h"
+#include "tests/serve_util.h"
 
 namespace adarts {
 namespace {
 
-TrainOptions FastOptions() {
-  TrainOptions opts;
-  opts.labeling.algorithms = {
-      impute::Algorithm::kCdRec, impute::Algorithm::kSvdImpute,
-      impute::Algorithm::kTkcm, impute::Algorithm::kLinearInterp,
-      impute::Algorithm::kMeanImpute};
-  opts.race.num_seed_pipelines = 12;
-  opts.race.num_partial_sets = 2;
-  opts.race.num_folds = 2;
-  opts.features.landmarks = 16;
-  return opts;
-}
-
-std::vector<ts::TimeSeries> SmallCorpus() {
-  data::GeneratorOptions gopts;
-  gopts.num_series = 12;
-  gopts.length = 160;
-  std::vector<ts::TimeSeries> corpus;
-  for (data::Category c : {data::Category::kClimate, data::Category::kMotion}) {
-    for (auto& s : data::GenerateCategory(c, gopts)) {
-      corpus.push_back(std::move(s));
-    }
-  }
-  return corpus;
-}
-
-/// One engine for the whole binary — training dominates the suite's runtime
-/// and every test only needs a read-only engine (which is the serving
-/// contract anyway: the daemon never mutates it).
-const Adarts& Engine() {
-  static const Adarts* engine = [] {
-    ExecContext ctx;
-    auto trained = Adarts::Train(SmallCorpus(), FastOptions(), ctx);
-    EXPECT_TRUE(trained.ok()) << trained.status();
-    return new Adarts(std::move(trained).value());
-  }();
-  return *engine;
-}
-
-ts::TimeSeries MakeFaulty(std::uint64_t seed = 9) {
-  ts::TimeSeries series = testing::MakeSine(160, 24.0, 0.05, seed);
-  for (std::size_t i = 40; i < 52; ++i) {
-    series.SetMissing(i, true);
-  }
-  return series;
-}
+using testing::Call;
+using testing::Engine;
+using testing::MakeFaulty;
 
 net::Request MakeRequest(net::MessageType type, std::uint64_t id,
                          double deadline_ms = 0.0) {
@@ -84,15 +40,6 @@ net::Request MakeRequest(net::MessageType type, std::uint64_t id,
     request.series.push_back(MakeFaulty());
   }
   return request;
-}
-
-/// Connects, sends one request, reads one response.
-Result<net::Response> Call(std::uint16_t port, const net::Request& request) {
-  ADARTS_ASSIGN_OR_RETURN(net::Socket sock,
-                          net::ConnectTcp("127.0.0.1", port));
-  ADARTS_RETURN_NOT_OK(net::WriteFrame(sock, net::EncodeRequest(request)));
-  ADARTS_ASSIGN_OR_RETURN(std::string frame, net::ReadFrame(sock));
-  return net::DecodeResponse(frame);
 }
 
 void Shutdown(net::Server* server) {
@@ -176,13 +123,11 @@ TEST(ServeTest, MalformedBodyGetsErrorResponse) {
   auto sock = net::ConnectTcp("127.0.0.1", server.port());
   ASSERT_TRUE(sock.ok());
   ASSERT_TRUE(net::WriteFrame(*sock, "garbage-bytes").ok());
-  auto frame = net::ReadFrame(*sock);
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  auto response = net::DecodeResponse(*frame);
-  ASSERT_TRUE(response.ok());
+  auto response = net::ReadResponse(*sock);
+  ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_EQ(response->code, StatusCode::kInvalidArgument);
   // The server drops the connection after a malformed body.
-  EXPECT_FALSE(net::ReadFrame(*sock).ok());
+  EXPECT_FALSE(net::ReadResponse(*sock).ok());
   Shutdown(&server);
 }
 
@@ -209,35 +154,25 @@ TEST(ServeTest, ShedsWithUnavailableWhenQueueIsFull) {
   ASSERT_TRUE(sock.ok());
   // Request 1 occupies the single worker (the hook holds it mid-request)…
   ASSERT_TRUE(
-      net::WriteFrame(*sock, net::EncodeRequest(
-                                 MakeRequest(net::MessageType::kPing, 1)))
-          .ok());
+      net::WriteRequest(*sock, MakeRequest(net::MessageType::kPing, 1)).ok());
   started.get_future().wait();
   // …request 2 fills the queue, request 3 must shed deterministically.
   ASSERT_TRUE(
-      net::WriteFrame(*sock, net::EncodeRequest(
-                                 MakeRequest(net::MessageType::kPing, 2)))
-          .ok());
+      net::WriteRequest(*sock, MakeRequest(net::MessageType::kPing, 2)).ok());
   ASSERT_TRUE(
-      net::WriteFrame(*sock, net::EncodeRequest(
-                                 MakeRequest(net::MessageType::kPing, 3)))
-          .ok());
+      net::WriteRequest(*sock, MakeRequest(net::MessageType::kPing, 3)).ok());
 
   // The shed reply for 3 arrives first (written by the reader thread while
   // the worker is still held).
-  auto shed_frame = net::ReadFrame(*sock);
-  ASSERT_TRUE(shed_frame.ok()) << shed_frame.status();
-  auto shed = net::DecodeResponse(*shed_frame);
-  ASSERT_TRUE(shed.ok());
+  auto shed = net::ReadResponse(*sock);
+  ASSERT_TRUE(shed.ok()) << shed.status();
   EXPECT_EQ(shed->id, 3u);
   EXPECT_EQ(shed->code, StatusCode::kUnavailable);
 
   release.set_value();
   for (std::uint64_t expected : {1u, 2u}) {
-    auto frame = net::ReadFrame(*sock);
-    ASSERT_TRUE(frame.ok()) << frame.status();
-    auto response = net::DecodeResponse(*frame);
-    ASSERT_TRUE(response.ok());
+    auto response = net::ReadResponse(*sock);
+    ASSERT_TRUE(response.ok()) << response.status();
     EXPECT_EQ(response->id, expected);
     EXPECT_TRUE(response->ok());
   }
@@ -281,15 +216,11 @@ TEST(ServeTest, DrainAnswersEveryAdmittedRequest) {
   ASSERT_TRUE(sock.ok());
   constexpr std::uint64_t kRequests = 4;
   ASSERT_TRUE(
-      net::WriteFrame(*sock, net::EncodeRequest(
-                                 MakeRequest(net::MessageType::kPing, 0)))
-          .ok());
+      net::WriteRequest(*sock, MakeRequest(net::MessageType::kPing, 0)).ok());
   started.get_future().wait();
   for (std::uint64_t id = 1; id < kRequests; ++id) {
-    ASSERT_TRUE(
-        net::WriteFrame(*sock, net::EncodeRequest(
-                                   MakeRequest(net::MessageType::kPing, id)))
-            .ok());
+    const net::Request ping = MakeRequest(net::MessageType::kPing, id);
+    ASSERT_TRUE(net::WriteRequest(*sock, ping).ok());
   }
 
   // Begin the drain while one request executes and three sit in the queue;
@@ -299,10 +230,8 @@ TEST(ServeTest, DrainAnswersEveryAdmittedRequest) {
   release.set_value();
   std::vector<bool> answered(kRequests, false);
   for (std::uint64_t n = 0; n < kRequests; ++n) {
-    auto frame = net::ReadFrame(*sock);
-    ASSERT_TRUE(frame.ok()) << frame.status();
-    auto response = net::DecodeResponse(*frame);
-    ASSERT_TRUE(response.ok());
+    auto response = net::ReadResponse(*sock);
+    ASSERT_TRUE(response.ok()) << response.status();
     ASSERT_LT(response->id, kRequests);
     EXPECT_TRUE(response->ok());
     answered[response->id] = true;
@@ -381,10 +310,8 @@ TEST(ServeTest, ReloadDuringBurstPartitionsRepliesAcrossExactlyTwoVersions) {
   constexpr std::uint64_t kBurst = 20;
   // First half of the burst races the swap…
   for (std::uint64_t id = 0; id < kBurst; ++id) {
-    ASSERT_TRUE(
-        net::WriteFrame(*sock, net::EncodeRequest(
-                                   MakeRequest(net::MessageType::kPing, id)))
-            .ok());
+    const net::Request ping = MakeRequest(net::MessageType::kPing, id);
+    ASSERT_TRUE(net::WriteRequest(*sock, ping).ok());
   }
   // …the reload reply only arrives after the registry published v2…
   auto reload = ReloadViaFrame(server.port(), v2_path, 777);
@@ -393,19 +320,15 @@ TEST(ServeTest, ReloadDuringBurstPartitionsRepliesAcrossExactlyTwoVersions) {
   EXPECT_EQ(reload->engine_version, 2u);
   // …so the second half must be served by v2 exclusively.
   for (std::uint64_t id = kBurst; id < 2 * kBurst; ++id) {
-    ASSERT_TRUE(
-        net::WriteFrame(*sock, net::EncodeRequest(
-                                   MakeRequest(net::MessageType::kPing, id)))
-            .ok());
+    const net::Request ping = MakeRequest(net::MessageType::kPing, id);
+    ASSERT_TRUE(net::WriteRequest(*sock, ping).ok());
   }
 
   std::set<std::uint64_t> versions;
   std::vector<bool> answered(2 * kBurst, false);
   for (std::uint64_t n = 0; n < 2 * kBurst; ++n) {
-    auto frame = net::ReadFrame(*sock);
-    ASSERT_TRUE(frame.ok()) << frame.status();
-    auto response = net::DecodeResponse(*frame);
-    ASSERT_TRUE(response.ok());
+    auto response = net::ReadResponse(*sock);
+    ASSERT_TRUE(response.ok()) << response.status();
     ASSERT_TRUE(response->ok()) << response->message;
     ASSERT_LT(response->id, 2 * kBurst);
     answered[response->id] = true;
@@ -485,12 +408,9 @@ TEST(ServeTest, ConnectionCapRefusesWithExplicitUnavailable) {
   for (std::uint64_t id = 0; id < 2; ++id) {
     auto sock = net::ConnectTcp("127.0.0.1", server.port());
     ASSERT_TRUE(sock.ok());
-    ASSERT_TRUE(
-        net::WriteFrame(*sock, net::EncodeRequest(
-                                   MakeRequest(net::MessageType::kPing, id)))
-            .ok());
-    auto frame = net::ReadFrame(*sock);
-    ASSERT_TRUE(frame.ok()) << frame.status();
+    auto response = net::Call(*sock, MakeRequest(net::MessageType::kPing, id));
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_TRUE(response->ok()) << response->message;
     held.push_back(std::move(sock).value());
   }
 
@@ -498,12 +418,10 @@ TEST(ServeTest, ConnectionCapRefusesWithExplicitUnavailable) {
   // an explicit refusal the client can back off on, not a silent drop.
   auto refused = net::ConnectTcp("127.0.0.1", server.port());
   ASSERT_TRUE(refused.ok());
-  auto frame = net::ReadFrame(*refused);
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  auto response = net::DecodeResponse(*frame);
-  ASSERT_TRUE(response.ok());
+  auto response = net::ReadResponse(*refused);
+  ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_EQ(response->code, StatusCode::kUnavailable);
-  EXPECT_FALSE(net::ReadFrame(*refused).ok());  // server closed it
+  EXPECT_FALSE(net::ReadResponse(*refused).ok());  // server closed it
 
   // Releasing one slot lets a new connection in (poll until the reader
   // unregisters the closed connection).

@@ -17,12 +17,11 @@
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/sliding_histogram.h"
-#include "data/generators.h"
 #include "net/http_endpoint.h"
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/socket.h"
-#include "tests/test_util.h"
+#include "tests/serve_util.h"
 
 namespace adarts {
 namespace {
@@ -186,57 +185,9 @@ TEST(MetricsLiveFoldTest, ScrapesNeverRegressWhileRecordersRun) {
 
 // --- kStats end-to-end ---------------------------------------------------
 
-TrainOptions FastOptions() {
-  TrainOptions opts;
-  opts.labeling.algorithms = {
-      impute::Algorithm::kCdRec, impute::Algorithm::kSvdImpute,
-      impute::Algorithm::kTkcm, impute::Algorithm::kLinearInterp,
-      impute::Algorithm::kMeanImpute};
-  opts.race.num_seed_pipelines = 12;
-  opts.race.num_partial_sets = 2;
-  opts.race.num_folds = 2;
-  opts.features.landmarks = 16;
-  return opts;
-}
-
-std::vector<ts::TimeSeries> SmallCorpus() {
-  data::GeneratorOptions gopts;
-  gopts.num_series = 12;
-  gopts.length = 160;
-  std::vector<ts::TimeSeries> corpus;
-  for (data::Category c : {data::Category::kClimate, data::Category::kMotion}) {
-    for (auto& s : data::GenerateCategory(c, gopts)) {
-      corpus.push_back(std::move(s));
-    }
-  }
-  return corpus;
-}
-
-const Adarts& Engine() {
-  static const Adarts* engine = [] {
-    ExecContext ctx;
-    auto trained = Adarts::Train(SmallCorpus(), FastOptions(), ctx);
-    EXPECT_TRUE(trained.ok()) << trained.status();
-    return new Adarts(std::move(trained).value());
-  }();
-  return *engine;
-}
-
-ts::TimeSeries MakeFaulty(std::uint64_t seed = 9) {
-  ts::TimeSeries series = testing::MakeSine(160, 24.0, 0.05, seed);
-  for (std::size_t i = 40; i < 52; ++i) {
-    series.SetMissing(i, true);
-  }
-  return series;
-}
-
-Result<net::Response> Call(std::uint16_t port, const net::Request& request) {
-  ADARTS_ASSIGN_OR_RETURN(net::Socket sock,
-                          net::ConnectTcp("127.0.0.1", port));
-  ADARTS_RETURN_NOT_OK(net::WriteFrame(sock, net::EncodeRequest(request)));
-  ADARTS_ASSIGN_OR_RETURN(std::string frame, net::ReadFrame(sock));
-  return net::DecodeResponse(frame);
-}
+using testing::Call;
+using testing::Engine;
+using testing::MakeFaulty;
 
 TEST(ServeStatsFrameTest, AnswersLiveJsonSnapshot) {
   net::Server server(Engine(), {});
@@ -308,17 +259,13 @@ TEST(ServeStatsFrameTest, SuccessiveScrapesNeverRegress) {
     net::Request ping;
     ping.type = net::MessageType::kPing;
     ping.id = 1000 + i;
-    ASSERT_TRUE(net::WriteFrame(sock, net::EncodeRequest(ping)).ok());
-    auto ping_frame = net::ReadFrame(sock);
-    ASSERT_TRUE(ping_frame.ok());
+    auto pong = net::Call(sock, ping);
+    ASSERT_TRUE(pong.ok()) << pong.status();
 
     net::Request scrape;
     scrape.type = net::MessageType::kStats;
     scrape.id = i;
-    ASSERT_TRUE(net::WriteFrame(sock, net::EncodeRequest(scrape)).ok());
-    auto frame = net::ReadFrame(sock);
-    ASSERT_TRUE(frame.ok()) << frame.status();
-    auto response = net::DecodeResponse(*frame);
+    auto response = net::Call(sock, scrape);
     ASSERT_TRUE(response.ok()) << response.status();
     auto parsed = json::ParseJson(response->text);
     ASSERT_TRUE(parsed.ok()) << parsed.status();
@@ -358,7 +305,7 @@ TEST(NetHttpEndpointTest, ServesRegisteredPath) {
     reply.body = "ok\n";
     return reply;
   });
-  ASSERT_TRUE(http.Start({}).ok());
+  ASSERT_TRUE(http.Start(0).ok());
   const std::string reply =
       RawHttp(http.port(), "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
   EXPECT_NE(reply.find("HTTP/1.1 200 OK"), std::string::npos) << reply;
@@ -370,7 +317,7 @@ TEST(NetHttpEndpointTest, ServesRegisteredPath) {
 TEST(NetHttpEndpointTest, UnknownPathIs404) {
   net::HttpEndpoint http;
   http.Handle("/metrics", [] { return net::HttpReply{}; });
-  ASSERT_TRUE(http.Start({}).ok());
+  ASSERT_TRUE(http.Start(0).ok());
   const std::string reply =
       RawHttp(http.port(), "GET /nope HTTP/1.1\r\n\r\n");
   EXPECT_NE(reply.find("HTTP/1.1 404"), std::string::npos) << reply;
@@ -380,7 +327,7 @@ TEST(NetHttpEndpointTest, UnknownPathIs404) {
 TEST(NetHttpEndpointTest, NonGetIs405) {
   net::HttpEndpoint http;
   http.Handle("/metrics", [] { return net::HttpReply{}; });
-  ASSERT_TRUE(http.Start({}).ok());
+  ASSERT_TRUE(http.Start(0).ok());
   const std::string reply =
       RawHttp(http.port(), "POST /metrics HTTP/1.1\r\n\r\n");
   EXPECT_NE(reply.find("HTTP/1.1 405"), std::string::npos) << reply;
@@ -390,21 +337,19 @@ TEST(NetHttpEndpointTest, NonGetIs405) {
 TEST(NetHttpEndpointTest, MalformedRequestLineIs400) {
   net::HttpEndpoint http;
   http.Handle("/metrics", [] { return net::HttpReply{}; });
-  ASSERT_TRUE(http.Start({}).ok());
+  ASSERT_TRUE(http.Start(0).ok());
   const std::string reply = RawHttp(http.port(), "garbage\r\n\r\n");
   EXPECT_NE(reply.find("HTTP/1.1 400"), std::string::npos) << reply;
   http.Shutdown();
 }
 
 TEST(NetHttpEndpointTest, OversizedRequestIs400NotUnboundedBuffering) {
-  net::HttpOptions options;
-  options.max_request_bytes = 256;
   net::HttpEndpoint http;
   http.Handle("/metrics", [] { return net::HttpReply{}; });
-  ASSERT_TRUE(http.Start(options).ok());
-  // 4 KiB of request-line with no terminator: must die at the 256-byte cap
-  // with a 400, never buffer unboundedly.
-  const std::string hostile = "GET /" + std::string(4096, 'a');
+  ASSERT_TRUE(http.Start(0).ok());
+  // 10 KB of request-line with no terminator: must die at the 8 KiB header
+  // cap with a 400, never buffer unboundedly.
+  const std::string hostile = "GET /" + std::string(10000, 'a');
   const std::string reply = RawHttp(http.port(), hostile);
   EXPECT_NE(reply.find("HTTP/1.1 400"), std::string::npos) << reply;
   http.Shutdown();
@@ -417,7 +362,7 @@ TEST(NetHttpEndpointTest, QueryStringIsIgnoredForRouting) {
     reply.body = "m\n";
     return reply;
   });
-  ASSERT_TRUE(http.Start({}).ok());
+  ASSERT_TRUE(http.Start(0).ok());
   const std::string reply =
       RawHttp(http.port(), "GET /metrics?debug=1 HTTP/1.0\r\n\r\n");
   EXPECT_NE(reply.find("HTTP/1.1 200"), std::string::npos) << reply;

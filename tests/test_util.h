@@ -5,7 +5,9 @@
 #include <cstdlib>
 #include <vector>
 
+#include "adarts/adarts.h"
 #include "common/rng.h"
+#include "data/generators.h"
 #include "la/vector_ops.h"
 #include "ml/dataset.h"
 #include "ts/time_series.h"
@@ -72,6 +74,36 @@ inline std::vector<ts::TimeSeries> MakeCorrelatedSet(std::size_t count,
     out.push_back(MakeSine(length, 24.0, noise, seed + s, 1.0 + 0.1 * s));
   }
   return out;
+}
+
+/// The quick training setup of the engine-level suites: a five-imputer
+/// pool and a short race that still exercise every stage.
+inline TrainOptions FastOptions() {
+  TrainOptions opts;
+  opts.labeling.algorithms = {
+      impute::Algorithm::kCdRec, impute::Algorithm::kSvdImpute,
+      impute::Algorithm::kTkcm, impute::Algorithm::kLinearInterp,
+      impute::Algorithm::kMeanImpute};
+  opts.race.num_seed_pipelines = 12;
+  opts.race.num_partial_sets = 2;
+  opts.race.num_folds = 2;
+  opts.features.landmarks = 16;
+  return opts;
+}
+
+/// Twelve generated series of length 160 from each of `categories`.
+inline std::vector<ts::TimeSeries> SmallCorpus(
+    const std::vector<data::Category>& categories) {
+  data::GeneratorOptions gopts;
+  gopts.num_series = 12;
+  gopts.length = 160;
+  std::vector<ts::TimeSeries> corpus;
+  for (data::Category c : categories) {
+    for (auto& s : data::GenerateCategory(c, gopts)) {
+      corpus.push_back(std::move(s));
+    }
+  }
+  return corpus;
 }
 
 }  // namespace adarts::testing

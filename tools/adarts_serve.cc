@@ -2,7 +2,7 @@
 //
 //   adarts_serve --model bundle.adarts [--port N] [--port-file FILE]
 //                [--workers N] [--threads-per-worker N] [--queue N]
-//                [--max-connections N] [--deadline-ms F]
+//                [--max-conns N] [--deadline-ms F]
 //                [--http-port N] [--http-port-file FILE]
 //                [--drain-grace-ms F] [--metrics-json FILE] [--trace FILE]
 //
@@ -119,7 +119,7 @@ int Main(int argc, char** argv) {
   // usage error (exit 2), never a silent 0 or a wrapped port.
   net::ServeOptions options;
   options.model_path = model;
-  net::HttpOptions http_options;
+  std::uint16_t http_port = 0;
   double drain_grace_ms = 0.0;
   const Status flags = FirstError({
       args.GetUint("port", &options.port),
@@ -127,12 +127,9 @@ int Main(int argc, char** argv) {
       args.GetUint("threads-per-worker", &options.threads_per_worker,
                    kMaxThreads),
       args.GetUint("queue", &options.queue_capacity),
-      // --max-conns is the documented short form and wins; --max-connections
-      // stays for compatibility with existing scripts.
-      args.GetUint("max-connections", &options.max_connections),
       args.GetUint("max-conns", &options.max_connections),
       args.GetDouble("deadline-ms", &options.default_deadline_ms),
-      args.GetUint("http-port", &http_options.port),
+      args.GetUint("http-port", &http_port),
       args.GetDouble("drain-grace-ms", &drain_grace_ms),
   });
   if (!flags.ok()) return BadFlag(flags);
@@ -201,7 +198,7 @@ int Main(int argc, char** argv) {
       }
       return reply;
     });
-    Status http_started = http.Start(http_options);
+    Status http_started = http.Start(http_port);
     if (!http_started.ok()) {
       WriteMetricsJson(metrics_path, server);
       return Fail(http_started);

@@ -175,14 +175,10 @@ int Main(int argc, char** argv) {
     net::Request request;
     request.type = net::MessageType::kStats;
     request.id = i;
-    Status written = WriteFrame(*sock, EncodeRequest(request));
-    if (!written.ok()) return Fail(written);
-    auto frame = ReadFrame(*sock);
-    if (!frame.ok()) return Fail(frame.status());
-    auto response = net::DecodeResponse(*frame);
+    auto response = net::Call(*sock, request);
     if (!response.ok()) return Fail(response.status());
-    if (response->type != net::MessageType::kStats || response->id != i) {
-      return Fail(Status::Internal("mismatched stats reply"));
+    if (!response->ok()) {
+      return Fail(Status(response->code, response->message));
     }
     auto snap = json::ParseJson(response->text);
     if (!snap.ok()) return Fail(snap.status());

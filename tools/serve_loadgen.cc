@@ -188,14 +188,14 @@ int Main(int argc, char** argv) {
   }
   if (requests == 0 || qps <= 0.0) return Usage();
 
-  // Pre-encode a small rotation of request bodies (the id field is patched
-  // per send) so encoding cost stays off the paced send path.
+  // A small rotation of requests over 8 series; each send copies one and
+  // sets its own id.
   Rng rng(seed);
   std::vector<ts::TimeSeries> series_pool;
   for (std::size_t i = 0; i < 8; ++i) {
     series_pool.push_back(MakeFaultySeries(length, missing, &rng));
   }
-  std::vector<std::string> bodies;
+  std::vector<net::Request> rotation;
   for (std::size_t i = 0; i < series_pool.size(); ++i) {
     net::Request request;
     request.type = type;
@@ -207,7 +207,7 @@ int Main(int argc, char** argv) {
     } else if (type != net::MessageType::kPing) {
       request.series.push_back(series_pool[i]);
     }
-    bodies.push_back(EncodeRequest(request));
+    rotation.push_back(std::move(request));
   }
 
   std::vector<net::Socket> socks(connections);
@@ -271,12 +271,8 @@ int Main(int argc, char** argv) {
         net::Request request;
         request.type = net::MessageType::kStats;
         request.id = 1'000'000'000ull + i;
-        if (!WriteFrame(*sock, EncodeRequest(request)).ok()) return;
-        auto frame = ReadFrame(*sock);
-        if (!frame.ok()) return;
-        auto response = net::DecodeResponse(*frame);
-        if (!response.ok() || response->type != net::MessageType::kStats ||
-            response->id != request.id || response->text.empty()) {
+        auto response = net::Call(*sock, request);
+        if (!response.ok() || !response->ok() || response->text.empty()) {
           return;
         }
         scrapes_ok.fetch_add(1, std::memory_order_relaxed);
@@ -337,13 +333,10 @@ int Main(int argc, char** argv) {
         std::this_thread::sleep_until(
             start + std::chrono::duration_cast<Clock::duration>(
                         std::chrono::nanoseconds(due_ns)));
-        // Patch the id (bytes 1..8 of the body, little-endian).
-        std::string body = bodies[id % bodies.size()];
-        for (int b = 0; b < 8; ++b) {
-          body[1 + b] = static_cast<char>((id >> (8 * b)) & 0xff);
-        }
+        net::Request request = rotation[id % rotation.size()];
+        request.id = id;
         send_ns[id].store(NowNs(), std::memory_order_release);
-        Status written = WriteFrame(socks[c], body);
+        Status written = net::WriteRequest(socks[c], request);
         if (!written.ok()) {
           failed.store(true, std::memory_order_relaxed);
           std::lock_guard<std::mutex> lock(chan.mu);
@@ -367,12 +360,7 @@ int Main(int argc, char** argv) {
           std::lock_guard<std::mutex> lock(chan.mu);
           if (chan.terminal >= chan.share) break;
         }
-        auto frame = ReadFrame(socks[c]);
-        if (!frame.ok()) {
-          failed.store(true, std::memory_order_relaxed);
-          break;
-        }
-        auto response = net::DecodeResponse(*frame);
+        auto response = net::ReadResponse(socks[c]);
         if (!response.ok() || response->id >= requests) {
           failed.store(true, std::memory_order_relaxed);
           break;
