@@ -321,6 +321,15 @@ Result<Recommendation> Adarts::RecommendEx(const ts::TimeSeries& faulty) const {
   Stopwatch extract_watch;
   ADARTS_ASSIGN_OR_RETURN(la::Vector f, extractor_.Extract(faulty));
   rec.extract_seconds = extract_watch.ElapsedSeconds();
+  // The committee indexes features by position, unchecked: a vector of
+  // another width than its training data is refused before any member
+  // reads it.
+  if (f.size() != training_data_.dim()) {
+    return Status::InvalidArgument(
+        "recommend: extractor yields " + std::to_string(f.size()) +
+        " features but the committee was trained on " +
+        std::to_string(training_data_.dim()));
+  }
   Stopwatch vote_watch;
   const la::Vector p = recommender_.PredictProba(f, &rec.vote);
   rec.vote_seconds = vote_watch.ElapsedSeconds();

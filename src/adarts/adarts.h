@@ -200,7 +200,9 @@ class Adarts {
   /// probabilities are skipped (full committee → partial committee →
   /// single elite), and when every member fails the corpus-majority
   /// default algorithm is returned (default class). Only feature
-  /// extraction failures surface as errors. A pure read: it records
+  /// extraction failures surface as errors, plus InvalidArgument when the
+  /// extracted vector's width differs from the training data's (checked
+  /// before any member reads it). A pure read: it records
   /// nothing, so ranking and explanation callers use it directly.
   Result<Recommendation> RecommendEx(const ts::TimeSeries& faulty) const;
 

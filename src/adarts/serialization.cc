@@ -267,6 +267,9 @@ Status Adarts::Save(const std::string& path) const {
       out << '\n';
     }
   }
+  // Optional like the growth blocks: written only when set, so snapshots
+  // of default extractors stay byte-identical and older ones load `false`.
+  if (fopts.missingness) out << "missingness 1\n";
   out << "end\n";
 
   // The checksum covers exactly the payload bytes (extractor..end); the
@@ -523,6 +526,13 @@ Result<Adarts> Adarts::Load(const std::string& path) {
     if (!(in >> token)) {
       return Status::InvalidArgument("model bundle: missing end marker");
     }
+  }
+  if (token == "missingness") {
+    int missingness = 0;
+    if (!(in >> missingness) || !(in >> token)) {
+      return Status::InvalidArgument("model bundle: bad missingness block");
+    }
+    fopts.missingness = missingness != 0;
   }
   if (token != "end") {
     return Status::InvalidArgument("model bundle: expected 'end', got '" +

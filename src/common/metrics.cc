@@ -121,8 +121,10 @@ void Metrics::MergeInto(Metrics* dst) const {
       histograms.emplace_back(name, histogram.get());
     }
   }
+  // Zero counters are carried too: a registered counter is exported from
+  // its registration on, not from its first event.
   for (const auto& [name, value] : counters) {
-    if (value > 0) dst->counter(name)->Increment(value);
+    dst->counter(name)->Increment(value);
   }
   for (const auto& [name, seconds] : spans) {
     dst->RecordSpanSeconds(name, seconds);

@@ -98,9 +98,10 @@ class Metrics {
   /// Copies every counter and span into a `StageMetrics` snapshot.
   StageMetrics Snapshot() const;
 
-  /// Accumulates this registry into `dst`: counter values and span seconds
-  /// add, histograms merge bucket-wise (`LatencyHistogram::MergeFrom`, so
-  /// percentiles of the union are exact, not an average of percentiles).
+  /// Accumulates this registry into `dst`: counter values (zeros included)
+  /// and span seconds add, histograms merge bucket-wise
+  /// (`LatencyHistogram::MergeFrom`, so percentiles of the union are exact,
+  /// not an average of percentiles).
   /// The serving daemon uses this to fold per-worker `ExecContext` metrics
   /// into one exported registry — both at shutdown and on every live
   /// `/metrics` / `kStats` scrape (DESIGN.md §14). Safe against recorders

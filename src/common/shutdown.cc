@@ -112,8 +112,6 @@ bool ConsumeReloadRequest() {
   return false;
 }
 
-void RequestReloadSignal() { ReloadSignalHandler(0); }
-
 void ResetShutdownLatchForTest() {
   g_shutdown_requested.store(false, std::memory_order_release);
   if (g_wake_read_fd >= 0) {

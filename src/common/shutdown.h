@@ -43,13 +43,11 @@ void ResetShutdownLatchForTest();
 /// Requires `InstallShutdownHandler` to have run first (shares the pipe).
 Status InstallReloadHandler();
 
-/// Consumes one pending reload request: true exactly once per SIGHUP (or
-/// `RequestReloadSignal`) since the last call. The daemon polls this after
-/// each pipe wake and triggers `Server::RequestReload` on true.
+/// Consumes one pending reload request: true exactly once per SIGHUP since
+/// the last call. The daemon polls this after each pipe wake and triggers
+/// `Server::RequestReload` on true; the outcome lands in the swap log and
+/// in the server's `serve.reload.ok` / `serve.reload.failed` counters.
 bool ConsumeReloadRequest();
-
-/// Trips the reload counter programmatically (tests). Async-signal-safe.
-void RequestReloadSignal();
 
 }  // namespace adarts
 

@@ -38,7 +38,6 @@ Status EngineRegistry::Swap(std::shared_ptr<const Adarts> candidate,
   // The release store publishes the fully-constructed engine; a reader's
   // acquire load in Active() therefore sees every byte of it.
   active_.store(std::move(candidate), std::memory_order_release);
-  swap_count_.fetch_add(1, std::memory_order_relaxed);
   SwapRecord record;
   record.engine_version = version;
   record.path = path;

@@ -69,18 +69,12 @@ class EngineRegistry {
   // most recent kMaxSwapLog entries).
   std::vector<SwapRecord> SwapLog() const;
 
-  // Total successful swaps since construction (excludes the seed engine).
-  std::uint64_t swap_count() const {
-    return swap_count_.load(std::memory_order_relaxed);
-  }
-
  private:
   static constexpr std::size_t kMaxSwapLog = 256;
 
   void Append(SwapRecord record);
 
   std::atomic<std::shared_ptr<const Adarts>> active_;
-  std::atomic<std::uint64_t> swap_count_{0};
 
   mutable std::mutex log_mu_;       // guards log_ only, never the read path
   std::vector<SwapRecord> log_;     // ring of the last kMaxSwapLog records

@@ -136,30 +136,6 @@ std::string PrometheusText(const ServeTelemetry& telemetry) {
       << "adarts_queue_capacity " << telemetry.queue_capacity << '\n';
   out << "# TYPE adarts_ready gauge\n"
       << "adarts_ready " << (telemetry.ready ? 1 : 0) << '\n';
-  out << "# TYPE adarts_swaps_total counter\n"
-      << "adarts_swaps_total " << telemetry.swap_count << '\n';
-
-  // --- serve verdict counters -------------------------------------------
-  const std::map<std::string, std::uint64_t> stats = {
-      {"connections_accepted", telemetry.stats.connections_accepted},
-      {"connections_refused", telemetry.stats.connections_refused},
-      {"requests_received", telemetry.stats.requests_received},
-      {"requests_ok", telemetry.stats.requests_ok},
-      {"requests_error", telemetry.stats.requests_error},
-      {"requests_shed", telemetry.stats.requests_shed},
-      {"requests_deadline_exceeded",
-       telemetry.stats.requests_deadline_exceeded},
-      {"responses_sent", telemetry.stats.responses_sent},
-      {"drained_in_flight", telemetry.stats.drained_in_flight},
-      {"reloads_ok", telemetry.stats.reloads_ok},
-      {"reloads_failed", telemetry.stats.reloads_failed},
-      {"stats_scrapes", telemetry.stats.stats_scrapes},
-  };
-  for (const auto& [name, value] : stats) {
-    const std::string metric = "adarts_serve_" + name + "_total";
-    out << "# TYPE " << metric << " counter\n" << metric << ' ' << value
-        << '\n';
-  }
 
   // --- folded registry: counters, spans, cumulative histograms ----------
   for (const auto& [name, value] : telemetry.metrics.counters) {

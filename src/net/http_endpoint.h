@@ -76,9 +76,13 @@ class HttpEndpoint {
 };
 
 /// Renders one telemetry snapshot in the Prometheus text exposition format
-/// (version 0.0.4): counters as `adarts_<name>_total`, histogram summaries
-/// as `adarts_<name>{quantile="..."}` in seconds, gauges for queue depth /
-/// readiness / uptime. Metric names are sanitized (`[^a-zA-Z0-9_]` -> `_`).
+/// (version 0.0.4): gauges for engine version / uptime / queue depth /
+/// readiness, then the folded metrics registry — the same one the kStats
+/// JSON carries — with each counter once as `adarts_<name>_total` (so
+/// `serve.reload.ok` is `adarts_serve_reload_ok_total`), spans in seconds,
+/// histogram summaries as `adarts_<name>_seconds{quantile="..."}`, and the
+/// windowed latency summaries. Metric names are sanitized
+/// (`[^a-zA-Z0-9_]` -> `_`).
 std::string PrometheusText(const ServeTelemetry& telemetry);
 
 }  // namespace adarts::net

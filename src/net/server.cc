@@ -75,19 +75,7 @@ std::string ServeTelemetry::ToJson() const {
       << ",\"queue_capacity\":" << queue_capacity
       << ",\"ready\":" << (ready ? "true" : "false")
       << ",\"draining\":" << (draining ? "true" : "false");
-  out << ",\"stats\":{\"connections_accepted\":" << stats.connections_accepted
-      << ",\"connections_refused\":" << stats.connections_refused
-      << ",\"requests_received\":" << stats.requests_received
-      << ",\"requests_ok\":" << stats.requests_ok
-      << ",\"requests_error\":" << stats.requests_error
-      << ",\"requests_shed\":" << stats.requests_shed
-      << ",\"requests_deadline_exceeded\":" << stats.requests_deadline_exceeded
-      << ",\"responses_sent\":" << stats.responses_sent
-      << ",\"drained_in_flight\":" << stats.drained_in_flight
-      << ",\"reloads_ok\":" << stats.reloads_ok
-      << ",\"reloads_failed\":" << stats.reloads_failed
-      << ",\"stats_scrapes\":" << stats.stats_scrapes << "}";
-  out << ",\"swap_count\":" << swap_count << ",\"swap_tail\":[";
+  out << ",\"swap_tail\":[";
   bool first = true;
   for (const SwapRecord& record : swap_tail) {
     if (!first) out << ',';
@@ -114,7 +102,23 @@ Server::Server(std::shared_ptr<const Adarts> engine, ServeOptions options)
                 options.model_path.empty() ? "<startup>" : options.model_path),
       options_(std::move(options)),
       queue_(options_.queue_capacity),
-      reload_queue_(1) {}
+      reload_queue_(1),
+      counters_{
+          .conn_accepted = metrics_.counter("serve.conn_accepted"),
+          .conn_refused = metrics_.counter("serve.conn_refused"),
+          .requests = metrics_.counter("serve.requests"),
+          .ok = metrics_.counter("serve.ok"),
+          .errors = metrics_.counter("serve.errors"),
+          .shed = metrics_.counter("serve.shed"),
+          .deadline_exceeded = metrics_.counter("serve.deadline_exceeded"),
+          .responses_sent = metrics_.counter("serve.responses_sent"),
+          .write_errors = metrics_.counter("serve.write_errors"),
+          .bad_frames = metrics_.counter("serve.bad_frames"),
+          .drained_in_flight = metrics_.counter("serve.drained_in_flight"),
+          .reload_ok = metrics_.counter("serve.reload.ok"),
+          .reload_failed = metrics_.counter("serve.reload.failed"),
+          .stats_scrapes = metrics_.counter("serve.stats_scrapes"),
+      } {}
 
 Server::~Server() {
   if (started_.load(std::memory_order_acquire)) {
@@ -228,8 +232,7 @@ void Server::AcceptLoop() {
         !FailpointRegistry::Instance().Check("net.accept").ok()) {
       // Injected accept-path failure: this one connection is dropped, the
       // accept loop itself must survive and keep serving.
-      stats_.connections_refused.fetch_add(1, std::memory_order_relaxed);
-      metrics_.Increment("serve.conn_refused");
+      counters_.conn_refused->Increment();
       continue;
     }
     bool admitted = false;
@@ -240,7 +243,7 @@ void Server::AcceptLoop() {
         conn->index = next_conn_index_++;
         conns_.push_back(conn);
         ++active_readers_;
-        stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
+        counters_.conn_accepted->Increment();
         std::thread([this, conn] { ReaderLoop(conn); }).detach();
         admitted = true;
       }
@@ -250,8 +253,7 @@ void Server::AcceptLoop() {
       // with an explicit kUnavailable frame the client can back off on,
       // instead of a silent close it cannot tell apart from a crash — and
       // instead of an unbounded reader-thread per excess connection.
-      stats_.connections_refused.fetch_add(1, std::memory_order_relaxed);
-      metrics_.Increment("serve.conn_refused");
+      counters_.conn_refused->Increment();
       RefuseConnection(conn->sock);
     }
   }
@@ -268,8 +270,6 @@ void Server::RefuseConnection(Socket& sock) {
 
 void Server::ReaderLoop(std::shared_ptr<ConnState> conn) {
   Tracer::SetCurrentThreadName("serve-conn-" + std::to_string(conn->index));
-  MetricCounter* received = metrics_.counter("serve.requests");
-  MetricCounter* shed = metrics_.counter("serve.shed");
   while (true) {
     auto frame = ReadFrame(conn->sock);
     if (!frame.ok()) {
@@ -288,8 +288,7 @@ void Server::ReaderLoop(std::shared_ptr<ConnState> conn) {
               " injected read failure");
       break;
     }
-    stats_.requests_received.fetch_add(1, std::memory_order_relaxed);
-    received->Increment();
+    counters_.requests->Increment();
     conn->requests.fetch_add(1, std::memory_order_relaxed);
 
     auto request = DecodeRequest(*frame);
@@ -300,7 +299,7 @@ void Server::ReaderLoop(std::shared_ptr<ConnState> conn) {
       response.code = request.status().code();
       response.message = request.status().message();
       SendResponse(conn, response);
-      metrics_.Increment("serve.bad_frames");
+      counters_.bad_frames->Increment();
       break;
     }
 
@@ -308,9 +307,8 @@ void Server::ReaderLoop(std::shared_ptr<ConnState> conn) {
       // Telemetry scrapes never enter the admission queue: answered right
       // here on the reader thread, so a saturated (or draining) server is
       // still observable. Like reloads they are control-plane traffic —
-      // counted in stats_scrapes, never in the ok/error verdict counters.
-      stats_.stats_scrapes.fetch_add(1, std::memory_order_relaxed);
-      metrics_.Increment("serve.stats_scrapes");
+      // counted in serve.stats_scrapes, never in the verdict counters.
+      counters_.stats_scrapes->Increment();
       Response response;
       response.type = MessageType::kStats;
       response.id = request->id;
@@ -360,8 +358,7 @@ void Server::ReaderLoop(std::shared_ptr<ConnState> conn) {
     if (injected_shed || !queue_.TryPush(std::move(item))) {
       // Admission control: full (or draining) queue sheds with an explicit
       // kUnavailable instead of queueing unboundedly.
-      stats_.requests_shed.fetch_add(1, std::memory_order_relaxed);
-      shed->Increment();
+      counters_.shed->Increment();
       Response response;
       response.type = type;
       response.id = id;
@@ -388,12 +385,10 @@ void Server::WorkerLoop(std::size_t worker_index) {
   Tracer::SetCurrentThreadName("serve-worker-" + std::to_string(worker_index));
   ExecContext& ctx = *worker_contexts_[worker_index];
   LatencyHistogram* queue_wait = metrics_.histogram("serve.queue_wait");
-  MetricCounter* ok = metrics_.counter("serve.ok");
-  MetricCounter* errors = metrics_.counter("serve.errors");
   WorkItem item;
   while (queue_.Pop(&item)) {
     if (shutdown_requested_.load(std::memory_order_acquire)) {
-      stats_.drained_in_flight.fetch_add(1, std::memory_order_relaxed);
+      counters_.drained_in_flight->Increment();
     }
     const std::uint64_t wait_ns = SteadyNowNs() - item.enqueue_steady_ns;
     queue_wait->Record(wait_ns);
@@ -428,15 +423,12 @@ void Server::WorkerLoop(std::size_t worker_index) {
       response.engine_version = engine->engine_version();
     }
     if (response.ok()) {
-      stats_.requests_ok.fetch_add(1, std::memory_order_relaxed);
-      ok->Increment();
+      counters_.ok->Increment();
     } else {
+      counters_.errors->Increment();
       if (response.code == StatusCode::kDeadlineExceeded) {
-        stats_.requests_deadline_exceeded.fetch_add(1,
-                                                    std::memory_order_relaxed);
+        counters_.deadline_exceeded->Increment();
       }
-      stats_.requests_error.fetch_add(1, std::memory_order_relaxed);
-      errors->Increment();
     }
     SendResponse(item.conn, response);
     // Admission-to-response, queue wait included — the latency a client of
@@ -510,11 +502,9 @@ void Server::ReloadLoop() {
   while (reload_queue_.Pop(&job)) {
     const Status outcome = DoReload(ctx, job.request.text);
     if (outcome.ok()) {
-      stats_.reloads_ok.fetch_add(1, std::memory_order_relaxed);
-      metrics_.Increment("serve.reload.ok");
+      counters_.reload_ok->Increment();
     } else {
-      stats_.reloads_failed.fetch_add(1, std::memory_order_relaxed);
-      metrics_.Increment("serve.reload.failed");
+      counters_.reload_failed->Increment();
       LogWarn("serve: reload rejected, prior engine stays live: " +
               outcome.ToString());
     }
@@ -589,7 +579,7 @@ Status Server::DoReload(ExecContext& ctx, const std::string& requested_path) {
 }
 
 Status Server::RequestReload(const std::string& path) {
-  ReloadJob job;  // conn stays null: outcome reports via swap log + stats
+  ReloadJob job;  // conn stays null: outcome reports via swap log + counters
   job.request.type = MessageType::kReload;
   job.request.text = path;
   if (!reload_queue_.TryPush(std::move(job))) {
@@ -605,7 +595,7 @@ void Server::SendResponse(const std::shared_ptr<ConnState>& conn,
       !FailpointRegistry::Instance().Check("net.write.frame").ok()) {
     // Injected mid-frame write failure: tear the connection down so the
     // client observes a hard close, never a half-written frame or a stall.
-    metrics_.Increment("serve.write_errors");
+    counters_.write_errors->Increment();
     LogWarn("serve: connection " + std::to_string(conn->index) +
             " injected write failure");
     conn->sock.ShutdownBoth();
@@ -615,34 +605,12 @@ void Server::SendResponse(const std::shared_ptr<ConnState>& conn,
   std::lock_guard<std::mutex> lock(conn->write_mu);
   Status written = WriteFrame(conn->sock, body);
   if (written.ok()) {
-    stats_.responses_sent.fetch_add(1, std::memory_order_relaxed);
+    counters_.responses_sent->Increment();
   } else {
-    metrics_.Increment("serve.write_errors");
+    counters_.write_errors->Increment();
     LogWarn("serve: connection " + std::to_string(conn->index) +
             " write failed: " + written.ToString());
   }
-}
-
-ServeStats Server::stats() const {
-  ServeStats out;
-  out.connections_accepted =
-      stats_.connections_accepted.load(std::memory_order_relaxed);
-  out.connections_refused =
-      stats_.connections_refused.load(std::memory_order_relaxed);
-  out.requests_received =
-      stats_.requests_received.load(std::memory_order_relaxed);
-  out.requests_ok = stats_.requests_ok.load(std::memory_order_relaxed);
-  out.requests_error = stats_.requests_error.load(std::memory_order_relaxed);
-  out.requests_shed = stats_.requests_shed.load(std::memory_order_relaxed);
-  out.requests_deadline_exceeded =
-      stats_.requests_deadline_exceeded.load(std::memory_order_relaxed);
-  out.responses_sent = stats_.responses_sent.load(std::memory_order_relaxed);
-  out.drained_in_flight =
-      stats_.drained_in_flight.load(std::memory_order_relaxed);
-  out.reloads_ok = stats_.reloads_ok.load(std::memory_order_relaxed);
-  out.reloads_failed = stats_.reloads_failed.load(std::memory_order_relaxed);
-  out.stats_scrapes = stats_.stats_scrapes.load(std::memory_order_relaxed);
-  return out;
 }
 
 StageMetrics Server::MetricsSnapshot() const {
@@ -665,8 +633,6 @@ ServeTelemetry Server::Telemetry() const {
   out.queue_capacity = options_.queue_capacity;
   out.draining = shutdown_requested_.load(std::memory_order_acquire);
   out.ready = started_.load(std::memory_order_acquire) && !out.draining;
-  out.stats = stats();
-  out.swap_count = registry_.swap_count();
   std::vector<SwapRecord> log = registry_.SwapLog();
   const std::size_t tail =
       log.size() > ServeTelemetry::kSwapTail ? ServeTelemetry::kSwapTail

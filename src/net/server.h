@@ -56,37 +56,14 @@ struct ServeOptions {
   std::function<void(const Request&)> worker_hook_for_test;
 };
 
-/// Monotonic totals since Start; readable at any time.
-struct ServeStats {
-  std::uint64_t connections_accepted = 0;
-  /// Connections refused at the cap (accepted, answered kUnavailable,
-  /// closed).
-  std::uint64_t connections_refused = 0;
-  std::uint64_t requests_received = 0;
-  std::uint64_t requests_ok = 0;
-  std::uint64_t requests_error = 0;
-  std::uint64_t requests_shed = 0;
-  std::uint64_t requests_deadline_exceeded = 0;
-  std::uint64_t responses_sent = 0;
-  /// Requests a worker popped from the queue after shutdown was requested —
-  /// in-flight work the drain finished and answered rather than dropped.
-  std::uint64_t drained_in_flight = 0;
-  /// Engine hot-swaps that published a new engine / were rejected with the
-  /// old engine left serving.
-  std::uint64_t reloads_ok = 0;
-  std::uint64_t reloads_failed = 0;
-  /// kStats telemetry scrapes answered (directly from reader threads; they
-  /// never enter the admission queue and never touch the verdict counters).
-  std::uint64_t stats_scrapes = 0;
-};
-
 /// One live telemetry scrape (DESIGN.md §14): everything an operator needs
 /// to see "right now" folded into a copyable snapshot — identity (engine
-/// version, uptime), pressure (queue depth, shed/refused totals), the swap
-/// log tail, the cumulative folded metrics, and the last-minute windowed
-/// latency percentiles the cumulative histograms cannot show. Produced by
-/// `Server::Telemetry()` against live recorders; rendered as JSON for the
-/// kStats frame and as Prometheus exposition text for `GET /metrics`.
+/// version, uptime), queue pressure, the swap log tail, the cumulative
+/// folded metrics (every `serve.*` counter among them), and the last-minute
+/// windowed latency percentiles the cumulative histograms cannot show.
+/// Produced by `Server::Telemetry()` against live recorders; rendered as
+/// JSON for the kStats frame and as Prometheus exposition text for
+/// `GET /metrics`.
 struct ServeTelemetry {
   std::uint64_t engine_version = 0;
   double uptime_seconds = 0.0;
@@ -95,10 +72,7 @@ struct ServeTelemetry {
   /// False once a drain began: the readiness signal `/readyz` reports.
   bool ready = false;
   bool draining = false;
-  ServeStats stats;
-  /// Successful swaps since startup plus the most recent swap-log entries
-  /// (newest last, at most kSwapTail).
-  std::uint64_t swap_count = 0;
+  /// The most recent swap-log entries (newest last, at most kSwapTail).
   std::vector<SwapRecord> swap_tail;
   /// Cumulative: serve-level registry + every worker context, folded live.
   StageMetrics metrics;
@@ -153,10 +127,16 @@ class Server {
   /// the accept loop's terminal status (OK for a clean drain).
   Status Wait();
 
-  ServeStats stats() const;
-
   /// Serve-level metrics plus every worker context's engine metrics
-  /// (`recommend.latency`, per-stage spans) folded into one snapshot.
+  /// (`recommend.latency`, per-stage spans) folded into one snapshot. The
+  /// serve counters, all registered at 0 by the constructor:
+  /// `serve.conn_accepted` / `serve.conn_refused`; `serve.requests` (every
+  /// frame read); the verdicts `serve.ok`, `serve.errors` and `serve.shed`,
+  /// which sum to `serve.requests` for recommend/ping/repair traffic, with
+  /// `serve.deadline_exceeded` counting the errors that were deadline
+  /// expiries; `serve.responses_sent`, `serve.write_errors`,
+  /// `serve.bad_frames`, `serve.drained_in_flight`, `serve.reload.ok`,
+  /// `serve.reload.failed` and `serve.stats_scrapes`.
   /// Callable at any time — workers record wait-free, so folding live
   /// registries observes a consistent monotone prefix of the traffic.
   StageMetrics MetricsSnapshot() const;
@@ -170,7 +150,7 @@ class Server {
   /// Queues an out-of-band reload (the SIGHUP path): load-validate the
   /// snapshot at `path` (empty = ServeOptions::model_path), canary-check it,
   /// swap on success. Returns once the job is queued — the outcome lands in
-  /// the swap log and `stats()`. kUnavailable if a reload is already
+  /// the swap log and the `serve.reload.*` counters. kUnavailable if a reload is already
   /// pending or the server is draining.
   Status RequestReload(const std::string& path);
 
@@ -242,6 +222,26 @@ class Server {
   std::uint64_t next_conn_index_ = 0;
 
   mutable Metrics metrics_;
+  /// The serve counters listed at `MetricsSnapshot`, registered by the
+  /// constructor so every scrape shows each one, at 0 before its first
+  /// event; the request paths increment these pointers, never a name.
+  struct Counters {
+    MetricCounter* conn_accepted;
+    MetricCounter* conn_refused;
+    MetricCounter* requests;
+    MetricCounter* ok;
+    MetricCounter* errors;
+    MetricCounter* shed;
+    MetricCounter* deadline_exceeded;
+    MetricCounter* responses_sent;
+    MetricCounter* write_errors;
+    MetricCounter* bad_frames;
+    MetricCounter* drained_in_flight;
+    MetricCounter* reload_ok;
+    MetricCounter* reload_failed;
+    MetricCounter* stats_scrapes;
+  };
+  const Counters counters_;
 
   /// Steady-clock origin for `ServeTelemetry::uptime_seconds` (set in
   /// Start).
@@ -250,22 +250,6 @@ class Server {
   /// workers record wait-free, scrapes fold without stopping them.
   SlidingHistogram window_latency_;
   SlidingHistogram window_queue_wait_;
-
-  struct AtomicStats {
-    std::atomic<std::uint64_t> connections_accepted{0};
-    std::atomic<std::uint64_t> connections_refused{0};
-    std::atomic<std::uint64_t> requests_received{0};
-    std::atomic<std::uint64_t> requests_ok{0};
-    std::atomic<std::uint64_t> requests_error{0};
-    std::atomic<std::uint64_t> requests_shed{0};
-    std::atomic<std::uint64_t> requests_deadline_exceeded{0};
-    std::atomic<std::uint64_t> responses_sent{0};
-    std::atomic<std::uint64_t> drained_in_flight{0};
-    std::atomic<std::uint64_t> reloads_ok{0};
-    std::atomic<std::uint64_t> reloads_failed{0};
-    std::atomic<std::uint64_t> stats_scrapes{0};
-  };
-  AtomicStats stats_;
 };
 
 }  // namespace adarts::net

@@ -64,16 +64,4 @@ double EuclideanDistance(const la::Vector& a, const la::Vector& b) {
   return std::sqrt(s);
 }
 
-la::Vector PairwiseDistances(const PointCloud& cloud) {
-  const std::size_t n = cloud.size();
-  la::Vector out;
-  out.reserve(n * (n - 1) / 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      out.push_back(EuclideanDistance(cloud[i], cloud[j]));
-    }
-  }
-  return out;
-}
-
 }  // namespace adarts::tda

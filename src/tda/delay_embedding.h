@@ -26,10 +26,6 @@ PointCloud MaxMinLandmarks(const PointCloud& cloud, std::size_t num_landmarks);
 /// Euclidean distance between two points of equal dimension.
 double EuclideanDistance(const la::Vector& a, const la::Vector& b);
 
-/// Condensed pairwise distance matrix (upper triangle, row-major) of a
-/// cloud: entry for (i, j), i < j at index i*n - i*(i+1)/2 + (j - i - 1).
-la::Vector PairwiseDistances(const PointCloud& cloud);
-
 }  // namespace adarts::tda
 
 #endif  // ADARTS_TDA_DELAY_EMBEDDING_H_

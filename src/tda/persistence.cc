@@ -62,13 +62,9 @@ std::vector<PersistencePair> PersistenceDiagram::Dimension(int dim) const {
   return out;
 }
 
-Result<PersistenceDiagram> ComputeRipsPersistence(const PointCloud& cloud,
-                                                  const RipsOptions& options) {
+Result<PersistenceDiagram> ComputeRipsPersistence(const PointCloud& cloud) {
   const std::size_t n = cloud.size();
   if (n < 2) return Status::InvalidArgument("Rips needs at least two points");
-  if (options.max_dimension < 0 || options.max_dimension > 1) {
-    return Status::NotImplemented("Rips persistence supports dimensions 0-1");
-  }
 
   // Edge filtration, sorted ascending by length.
   std::vector<Edge> edges;
@@ -104,87 +100,79 @@ Result<PersistenceDiagram> ComputeRipsPersistence(const PointCloud& cloud,
   // The essential component is capped at the maximum filtration value.
   diagram.pairs.push_back({0, 0.0, max_filtration});
 
-  if (options.max_dimension >= 1) {
-    // Edge-index lookup for triangle construction.
-    std::vector<int> edge_index(n * n, -1);
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      edge_index[edges[e].i * n + edges[e].j] = static_cast<int>(e);
-    }
-    const auto eidx = [&](std::size_t a, std::size_t b) {
-      return a < b ? edge_index[a * n + b] : edge_index[b * n + a];
-    };
+  // Edge-index lookup for triangle construction.
+  std::vector<int> edge_index(n * n, -1);
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    edge_index[edges[e].i * n + edges[e].j] = static_cast<int>(e);
+  }
+  const auto eidx = [&](std::size_t a, std::size_t b) {
+    return a < b ? edge_index[a * n + b] : edge_index[b * n + a];
+  };
 
-    std::vector<Triangle> triangles;
-    triangles.reserve(n * (n - 1) * (n - 2) / 6);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        for (std::size_t k = j + 1; k < n; ++k) {
-          const int e0 = eidx(i, j);
-          const int e1 = eidx(i, k);
-          const int e2 = eidx(j, k);
-          const double f = std::max(
-              {edges[e0].dist, edges[e1].dist, edges[e2].dist});
-          triangles.push_back({e0, e1, e2, f});
-        }
-      }
-    }
-    std::sort(triangles.begin(), triangles.end(),
-              [](const Triangle& a, const Triangle& b) {
-                return a.filtration < b.filtration;
-              });
-
-    // Z/2 boundary-matrix reduction: each triangle column holds its three
-    // edge indices; the pivot is the column's maximum (latest) edge.
-    std::vector<int> pivot_owner(edges.size(), -1);
-    std::vector<std::vector<int>> reduced_columns;
-    reduced_columns.reserve(triangles.size());
-    std::vector<int> scratch;
-
-    for (const Triangle& tri : triangles) {
-      std::vector<int> col = {tri.e0, tri.e1, tri.e2};
-      std::sort(col.begin(), col.end());
-      while (!col.empty()) {
-        const int pivot = col.back();
-        const int owner = pivot_owner[pivot];
-        if (owner < 0) break;
-        // col ^= reduced_columns[owner]  (symmetric difference over Z/2).
-        const std::vector<int>& other = reduced_columns[owner];
-        scratch.clear();
-        std::set_symmetric_difference(col.begin(), col.end(), other.begin(),
-                                      other.end(),
-                                      std::back_inserter(scratch));
-        col.swap(scratch);
-      }
-      if (!col.empty()) {
-        const int pivot = col.back();
-        pivot_owner[pivot] = static_cast<int>(reduced_columns.size());
-        reduced_columns.push_back(std::move(col));
-        const double birth = edges[static_cast<std::size_t>(pivot)].dist;
-        const double death = tri.filtration;
-        if (death > birth) {
-          diagram.pairs.push_back({1, birth, death});
-        }
-      } else {
-        reduced_columns.emplace_back();
-      }
-    }
-
-    // Cycle-creating edges never claimed as a pivot are essential 1-cycles;
-    // cap their death at the maximum filtration value.
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      if (creates_cycle[e] && pivot_owner[e] < 0 &&
-          max_filtration > edges[e].dist) {
-        diagram.pairs.push_back({1, edges[e].dist, max_filtration});
+  std::vector<Triangle> triangles;
+  triangles.reserve(n * (n - 1) * (n - 2) / 6);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      for (std::size_t k = j + 1; k < n; ++k) {
+        const int e0 = eidx(i, j);
+        const int e1 = eidx(i, k);
+        const int e2 = eidx(j, k);
+        const double f = std::max(
+            {edges[e0].dist, edges[e1].dist, edges[e2].dist});
+        triangles.push_back({e0, e1, e2, f});
       }
     }
   }
+  std::sort(triangles.begin(), triangles.end(),
+            [](const Triangle& a, const Triangle& b) {
+              return a.filtration < b.filtration;
+            });
 
-  if (options.min_relative_persistence > 0.0 && max_filtration > 0.0) {
-    const double cutoff = options.min_relative_persistence * max_filtration;
-    std::erase_if(diagram.pairs, [&](const PersistencePair& p) {
-      return p.Lifetime() < cutoff;
-    });
+  // Z/2 boundary-matrix reduction: each triangle column holds its three
+  // edge indices; the pivot is the column's maximum (latest) edge.
+  std::vector<int> pivot_owner(edges.size(), -1);
+  std::vector<std::vector<int>> reduced_columns;
+  reduced_columns.reserve(triangles.size());
+  std::vector<int> scratch;
+
+  for (const Triangle& tri : triangles) {
+    std::vector<int> col = {tri.e0, tri.e1, tri.e2};
+    std::sort(col.begin(), col.end());
+    while (!col.empty()) {
+      const int pivot = col.back();
+      const int owner = pivot_owner[pivot];
+      if (owner < 0) break;
+      // col ^= reduced_columns[owner]  (symmetric difference over Z/2).
+      const std::vector<int>& other = reduced_columns[owner];
+      scratch.clear();
+      std::set_symmetric_difference(col.begin(), col.end(), other.begin(),
+                                    other.end(),
+                                    std::back_inserter(scratch));
+      col.swap(scratch);
+    }
+    if (!col.empty()) {
+      const int pivot = col.back();
+      pivot_owner[pivot] = static_cast<int>(reduced_columns.size());
+      reduced_columns.push_back(std::move(col));
+      const double birth = edges[static_cast<std::size_t>(pivot)].dist;
+      const double death = tri.filtration;
+      if (death > birth) {
+        diagram.pairs.push_back({1, birth, death});
+      }
+    } else {
+      reduced_columns.emplace_back();
+    }
   }
+
+  // Cycle-creating edges never claimed as a pivot are essential 1-cycles;
+  // cap their death at the maximum filtration value.
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    if (creates_cycle[e] && pivot_owner[e] < 0 &&
+        max_filtration > edges[e].dist) {
+      diagram.pairs.push_back({1, edges[e].dist, max_filtration});
+    }
+  }
+
   return diagram;
 }
 

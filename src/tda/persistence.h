@@ -30,22 +30,13 @@ struct PersistenceDiagram {
   std::vector<PersistencePair> Dimension(int dim) const;
 };
 
-/// Options for the Rips computation.
-struct RipsOptions {
-  /// Highest homology dimension to compute (0 or 1).
-  int max_dimension = 1;
-  /// Drop pairs whose lifetime is below this fraction of max_filtration
-  /// (noise suppression). 0 keeps everything.
-  double min_relative_persistence = 0.0;
-};
-
-/// Computes the Vietoris-Rips persistence diagram of a point cloud.
+/// Computes the Vietoris-Rips persistence diagram (H0 and H1, every pair
+/// kept) of a point cloud.
 ///
 /// H0 is computed by a union-find pass over the edge filtration; H1 by
 /// standard Z/2 boundary-matrix reduction over the triangle columns. The
 /// cloud should be small (landmark-subsampled); cost is O(n^3) triangles.
-Result<PersistenceDiagram> ComputeRipsPersistence(
-    const PointCloud& cloud, const RipsOptions& options = {});
+Result<PersistenceDiagram> ComputeRipsPersistence(const PointCloud& cloud);
 
 }  // namespace adarts::tda
 

@@ -137,6 +137,26 @@ TEST(AdartsIntegrationTest, TrainFromLabeledDataset) {
   EXPECT_EQ(probs.size(), 3u);
 }
 
+TEST(AdartsIntegrationTest, RecommendRejectsFeatureWidthMismatch) {
+  // Blobs one group wider than the default 56-feature schema: the committee
+  // may split on a column the extractor never produces.
+  const std::size_t width = features::FeatureExtractor().NumFeatures() + 8;
+  const ml::Dataset labeled = testing::MakeBlobs(3, 30, width, 43);
+  const std::vector<impute::Algorithm> pool = {
+      impute::Algorithm::kCdRec, impute::Algorithm::kTkcm,
+      impute::Algorithm::kLinearInterp};
+  automl::ModelRaceOptions race;
+  race.num_seed_pipelines = 12;
+  race.num_partial_sets = 2;
+  ExecContext ctx;
+  auto engine = Adarts::TrainFromLabeled(labeled, pool, {}, race, 17, ctx);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  auto rec = engine->RecommendEx(testing::MakeSine(160, 20.0, 0.05));
+  ASSERT_FALSE(rec.ok());
+  EXPECT_EQ(rec.status().code(), StatusCode::kInvalidArgument)
+      << rec.status();
+}
+
 TEST(AdartsIntegrationTest, TrainFromLabeledRejectsPoolMismatch) {
   const ml::Dataset labeled = testing::MakeBlobs(3, 20, 4, 42);
   const std::vector<impute::Algorithm> pool = {impute::Algorithm::kCdRec};

@@ -1,4 +1,5 @@
 #include <functional>
+#include <ostream>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -19,6 +20,10 @@ struct BaselineCase {
   Factory factory;
   bool supports_ranking;
 };
+
+// Without a printer gtest lists the parameter as the struct's raw bytes,
+// which hold load addresses, so the ctest names changed on every build.
+void PrintTo(const BaselineCase& c, std::ostream* os) { *os << c.name; }
 
 class BaselineContractTest : public ::testing::TestWithParam<BaselineCase> {};
 

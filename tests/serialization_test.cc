@@ -86,6 +86,37 @@ TEST(SerializationTest, RoundTripPreservesExtractorOptions) {
   std::remove(path.c_str());
 }
 
+TEST(SerializationTest, RoundTripPreservesMissingnessGroup) {
+  TrainOptions options = testing::FastOptions();
+  options.features.missingness = true;
+  ExecContext ctx;
+  auto engine = Adarts::Train(
+      testing::SmallCorpus({data::Category::kClimate, data::Category::kMotion}),
+      options, ctx);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  ASSERT_EQ(engine->feature_extractor().NumFeatures(), 64u);
+  const std::string path = TempBundlePath("adarts_bundle_missingness.model");
+  ASSERT_TRUE(engine->Save(path).ok());
+  auto loaded = Adarts::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_TRUE(loaded->feature_extractor().options().missingness);
+  EXPECT_EQ(loaded->feature_extractor().NumFeatures(), 64u);
+
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    ts::TimeSeries faulty = testing::MakeSine(160, 12.0 + 4.0 * seed, 0.05,
+                                              seed);
+    for (std::size_t i = 10 * seed; i < 10 * seed + 15; ++i) {
+      faulty.SetMissing(i, true);
+    }
+    auto before = engine->RecommendEx(faulty);
+    auto after = loaded->RecommendEx(faulty);
+    ASSERT_TRUE(before.ok()) << before.status();
+    ASSERT_TRUE(after.ok()) << after.status();
+    EXPECT_EQ(before->ranking, after->ranking) << "seed " << seed;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(SerializationTest, LoadRejectsMissingFile) {
   EXPECT_FALSE(Adarts::Load("/nonexistent/bundle.model").ok());
 }

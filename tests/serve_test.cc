@@ -42,6 +42,11 @@ net::Request MakeRequest(net::MessageType type, std::uint64_t id,
   return request;
 }
 
+/// One serve counter of the server's folded registry.
+std::uint64_t Count(const net::Server& server, const char* name) {
+  return server.MetricsSnapshot().Counter(name);
+}
+
 void Shutdown(net::Server* server) {
   server->RequestShutdown();
   Status drained = server->Wait();
@@ -177,8 +182,14 @@ TEST(ServeTest, ShedsWithUnavailableWhenQueueIsFull) {
     EXPECT_TRUE(response->ok());
   }
   Shutdown(&server);
-  EXPECT_EQ(server.stats().requests_shed, 1u);
-  EXPECT_EQ(server.stats().requests_ok, 2u);
+  const StageMetrics metrics = server.MetricsSnapshot();
+  EXPECT_EQ(metrics.Counter("serve.shed"), 1u);
+  EXPECT_EQ(metrics.Counter("serve.ok"), 2u);
+  // Every request gets exactly one verdict: requests = ok + errors + shed.
+  EXPECT_EQ(metrics.Counter("serve.requests"), 3u);
+  EXPECT_EQ(metrics.Counter("serve.requests"),
+            metrics.Counter("serve.ok") + metrics.Counter("serve.errors") +
+                metrics.Counter("serve.shed"));
 }
 
 TEST(ServeTest, DeadlineExpiredInQueueAnswersDeadlineExceeded) {
@@ -192,7 +203,15 @@ TEST(ServeTest, DeadlineExpiredInQueueAnswersDeadlineExceeded) {
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_EQ(response->code, StatusCode::kDeadlineExceeded);
   Shutdown(&server);
-  EXPECT_EQ(server.stats().requests_deadline_exceeded, 1u);
+  const StageMetrics metrics = server.MetricsSnapshot();
+  EXPECT_EQ(metrics.Counter("serve.deadline_exceeded"), 1u);
+  // A deadline expiry is one of the errors, not a fourth verdict: the
+  // identity requests = ok + errors + shed still holds.
+  EXPECT_EQ(metrics.Counter("serve.errors"), 1u);
+  EXPECT_EQ(metrics.Counter("serve.requests"), 1u);
+  EXPECT_EQ(metrics.Counter("serve.requests"),
+            metrics.Counter("serve.ok") + metrics.Counter("serve.errors") +
+                metrics.Counter("serve.shed"));
 }
 
 TEST(ServeTest, DrainAnswersEveryAdmittedRequest) {
@@ -240,10 +259,10 @@ TEST(ServeTest, DrainAnswersEveryAdmittedRequest) {
   for (std::uint64_t id = 0; id < kRequests; ++id) {
     EXPECT_TRUE(answered[id]) << "request " << id << " lost in drain";
   }
-  const net::ServeStats stats = server.stats();
-  EXPECT_EQ(stats.requests_ok, kRequests);
-  EXPECT_EQ(stats.responses_sent, kRequests);
-  EXPECT_GE(stats.drained_in_flight, 1u);
+  const StageMetrics metrics = server.MetricsSnapshot();
+  EXPECT_EQ(metrics.Counter("serve.ok"), kRequests);
+  EXPECT_EQ(metrics.Counter("serve.responses_sent"), kRequests);
+  EXPECT_GE(metrics.Counter("serve.drained_in_flight"), 1u);
 }
 
 TEST(ServeTest, MetricsSnapshotFoldsServeAndEngineMetrics) {
@@ -350,7 +369,7 @@ TEST(ServeTest, ReloadDuringBurstPartitionsRepliesAcrossExactlyTwoVersions) {
   EXPECT_LE(versions.size(), 2u);
   EXPECT_EQ(versions.count(2u), 1u);
   Shutdown(&server);
-  EXPECT_EQ(server.stats().reloads_ok, 1u);
+  EXPECT_EQ(Count(server, "serve.reload.ok"), 1u);
   std::remove(v2_path.c_str());
 }
 
@@ -391,8 +410,8 @@ TEST(ServeTest, CorruptSnapshotReloadLeavesOldEngineServing) {
   EXPECT_TRUE(response->ok()) << response->message;
   EXPECT_EQ(response->engine_version, 1u);
   Shutdown(&server);
-  EXPECT_EQ(server.stats().reloads_failed, 1u);
-  EXPECT_EQ(server.stats().reloads_ok, 0u);
+  EXPECT_EQ(Count(server, "serve.reload.failed"), 1u);
+  EXPECT_EQ(Count(server, "serve.reload.ok"), 0u);
   std::remove(path.c_str());
 }
 
@@ -438,7 +457,7 @@ TEST(ServeTest, ConnectionCapRefusesWithExplicitUnavailable) {
   EXPECT_TRUE(admitted) << "slot never freed after closing a connection";
   held.clear();
   Shutdown(&server);
-  EXPECT_GE(server.stats().connections_refused, 1u);
+  EXPECT_GE(Count(server, "serve.conn_refused"), 1u);
 }
 
 TEST(ServeTest, StatsCountConnectionsAndRequests) {
@@ -450,11 +469,11 @@ TEST(ServeTest, StatsCountConnectionsAndRequests) {
     ASSERT_TRUE(response.ok());
   }
   Shutdown(&server);
-  const net::ServeStats stats = server.stats();
-  EXPECT_EQ(stats.connections_accepted, 2u);
-  EXPECT_EQ(stats.requests_received, 2u);
-  EXPECT_EQ(stats.requests_ok, 2u);
-  EXPECT_EQ(stats.responses_sent, 2u);
+  const StageMetrics metrics = server.MetricsSnapshot();
+  EXPECT_EQ(metrics.Counter("serve.conn_accepted"), 2u);
+  EXPECT_EQ(metrics.Counter("serve.requests"), 2u);
+  EXPECT_EQ(metrics.Counter("serve.ok"), 2u);
+  EXPECT_EQ(metrics.Counter("serve.responses_sent"), 2u);
 }
 
 }  // namespace

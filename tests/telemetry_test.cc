@@ -5,7 +5,14 @@
 // sidecar. Suite names deliberately contain Histogram / Metrics / Serve /
 // Net so CI's tsan-parallel job picks them up.
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <filesystem>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -189,7 +196,7 @@ using testing::Call;
 using testing::Engine;
 using testing::MakeFaulty;
 
-TEST(ServeStatsFrameTest, AnswersLiveJsonSnapshot) {
+TEST(ServeTelemetryFrameTest, AnswersLiveJsonSnapshot) {
   net::Server server(Engine(), {});
   ASSERT_TRUE(server.Start().ok());
 
@@ -223,16 +230,13 @@ TEST(ServeStatsFrameTest, AnswersLiveJsonSnapshot) {
   const json::JsonValue* ready = parsed->Find("ready");
   ASSERT_NE(ready, nullptr);
   EXPECT_TRUE(ready->boolean);
-  const json::JsonValue* stats = parsed->Find("stats");
-  ASSERT_NE(stats, nullptr);
-  EXPECT_GE(stats->NumberOr("requests_ok", 0.0), 3.0);
-  EXPECT_GE(stats->NumberOr("stats_scrapes", 0.0), 1.0);
   // The folded registry and the windowed view both carry the traffic.
   const json::JsonValue* metrics = parsed->Find("metrics");
   ASSERT_NE(metrics, nullptr);
   const json::JsonValue* counters = metrics->Find("counters");
   ASSERT_NE(counters, nullptr);
   EXPECT_GE(counters->NumberOr("serve.ok", 0.0), 3.0);
+  EXPECT_GE(counters->NumberOr("serve.stats_scrapes", 0.0), 1.0);
   const json::JsonValue* window = parsed->Find("window_latency");
   ASSERT_NE(window, nullptr);
   const json::JsonValue* histogram = window->Find("histogram");
@@ -248,7 +252,7 @@ TEST(ServeStatsFrameTest, AnswersLiveJsonSnapshot) {
   EXPECT_TRUE(server.Wait().ok());
 }
 
-TEST(ServeStatsFrameTest, SuccessiveScrapesNeverRegress) {
+TEST(ServeTelemetryFrameTest, SuccessiveScrapesNeverRegress) {
   net::Server server(Engine(), {});
   ASSERT_TRUE(server.Start().ok());
   auto connected = net::ConnectTcp("127.0.0.1", server.port());
@@ -269,9 +273,11 @@ TEST(ServeStatsFrameTest, SuccessiveScrapesNeverRegress) {
     ASSERT_TRUE(response.ok()) << response.status();
     auto parsed = json::ParseJson(response->text);
     ASSERT_TRUE(parsed.ok()) << parsed.status();
-    const json::JsonValue* stats = parsed->Find("stats");
-    ASSERT_NE(stats, nullptr);
-    const double received = stats->NumberOr("requests_received", -1.0);
+    const json::JsonValue* metrics = parsed->Find("metrics");
+    ASSERT_NE(metrics, nullptr);
+    const json::JsonValue* counters = metrics->Find("counters");
+    ASSERT_NE(counters, nullptr);
+    const double received = counters->NumberOr("serve.requests", -1.0);
     EXPECT_GE(received, last_received);
     last_received = received;
   }
@@ -376,9 +382,8 @@ TEST(ServePrometheusTextTest, RendersValidExposition) {
   telemetry.queue_depth = 2;
   telemetry.queue_capacity = 64;
   telemetry.ready = true;
-  telemetry.stats.requests_received = 100;
-  telemetry.stats.requests_ok = 90;
-  telemetry.metrics.counters["serve.request"] = 90;
+  telemetry.metrics.counters["serve.requests"] = 100;
+  telemetry.metrics.counters["serve.reload.ok"] = 2;
   telemetry.metrics.spans_seconds["train.total_seconds"] = 1.25;
   HistogramSnapshot hist;
   hist.count = 90;
@@ -394,10 +399,10 @@ TEST(ServePrometheusTextTest, RendersValidExposition) {
   const std::string text = net::PrometheusText(telemetry);
   EXPECT_NE(text.find("adarts_engine_version 3\n"), std::string::npos);
   EXPECT_NE(text.find("adarts_ready 1\n"), std::string::npos);
-  EXPECT_NE(text.find("adarts_serve_requests_ok_total 90\n"),
-            std::string::npos);
   // Dotted registry names are sanitized into the Prometheus charset.
-  EXPECT_NE(text.find("adarts_serve_request_total 90\n"), std::string::npos);
+  EXPECT_NE(text.find("adarts_serve_requests_total 100\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("adarts_serve_reload_ok_total 2\n"), std::string::npos);
   EXPECT_NE(text.find("adarts_serve_queue_wait_seconds{quantile=\"0.99\"}"),
             std::string::npos);
   EXPECT_NE(text.find("adarts_serve_window_latency_seconds"),
@@ -414,6 +419,155 @@ TEST(ServePrometheusTextTest, RendersValidExposition) {
     EXPECT_NE(line.find(' '), std::string::npos) << line;
     EXPECT_EQ(line.find('\t'), std::string::npos) << line;
   }
+}
+
+// --- one registry, each serve count once ---------------------------------
+
+/// Every counter the server registers at construction.
+constexpr const char* kServeCounters[] = {
+    "serve.conn_accepted",     "serve.conn_refused",  "serve.requests",
+    "serve.ok",                "serve.errors",        "serve.shed",
+    "serve.deadline_exceeded", "serve.responses_sent",
+    "serve.write_errors",      "serve.bad_frames",    "serve.drained_in_flight",
+    "serve.reload.ok",         "serve.reload.failed", "serve.stats_scrapes"};
+
+/// The exposition name of registry counter `name`: `adarts_`, the name
+/// with '.' replaced by '_', then `_total`.
+std::string ExpositionName(std::string name) {
+  std::replace(name.begin(), name.end(), '.', '_');
+  return "adarts_" + name + "_total";
+}
+
+/// The sample lines of an exposition, keyed by `name{labels}`; a family
+/// rendered twice would collapse here, so callers also count TYPE lines.
+std::map<std::string, std::string> Samples(const std::string& text) {
+  std::map<std::string, std::string> out;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t space = line.rfind(' ');
+    out[line.substr(0, space)] = line.substr(space + 1);
+  }
+  return out;
+}
+
+TEST(ServeTelemetryTest, FirstScrapesListEveryServeCounterAtZero) {
+  net::Server server(Engine(), {});
+  ASSERT_TRUE(server.Start().ok());
+  net::HttpEndpoint http;
+  http.Handle("/metrics", [&server] {
+    net::HttpReply reply;
+    reply.body = net::PrometheusText(server.Telemetry());
+    return reply;
+  });
+  ASSERT_TRUE(http.Start(0).ok());
+
+  // An HTTP scrape is no serve event: the first one reads every counter 0.
+  const std::string reply =
+      RawHttp(http.port(), "GET /metrics HTTP/1.1\r\n\r\n");
+  const std::size_t body = reply.find("\r\n\r\n");
+  ASSERT_NE(body, std::string::npos) << reply;
+  const std::map<std::string, std::string> samples =
+      Samples(reply.substr(body + 4));
+  for (const char* name : kServeCounters) {
+    const auto it = samples.find(ExpositionName(name));
+    ASSERT_NE(it, samples.end()) << name;
+    EXPECT_EQ(it->second, "0") << name;
+  }
+
+  // The first kStats frame counts itself — its connection, its frame and
+  // the scrape — before rendering; every other counter is listed at 0.
+  net::Request scrape;
+  scrape.type = net::MessageType::kStats;
+  scrape.id = 1;
+  auto response = Call(server.port(), scrape);
+  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_TRUE(response->ok()) << response->message;
+  auto parsed = json::ParseJson(response->text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  // The registry is the document's only counter block.
+  std::set<std::string> keys;
+  for (const auto& [key, value] : parsed->object) keys.insert(key);
+  EXPECT_EQ(keys, (std::set<std::string>{
+                      "draining", "engine_version", "metrics", "queue_capacity",
+                      "queue_depth", "ready", "swap_tail", "uptime_seconds",
+                      "window_latency", "window_queue_wait"}));
+  const json::JsonValue* metrics = parsed->Find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  const json::JsonValue* counters = metrics->Find("counters");
+  ASSERT_NE(counters, nullptr);
+  const std::set<std::string> self = {"serve.conn_accepted", "serve.requests",
+                                      "serve.stats_scrapes"};
+  for (const char* name : kServeCounters) {
+    const json::JsonValue* value = counters->Find(name);
+    ASSERT_NE(value, nullptr) << name;
+    ASSERT_TRUE(value->is_number()) << name;
+    EXPECT_EQ(value->number, self.count(name) == 1 ? 1.0 : 0.0) << name;
+  }
+
+  http.Shutdown();
+  server.RequestShutdown();
+  EXPECT_TRUE(server.Wait().ok());
+}
+
+TEST(ServeTelemetryTest, ExpositionCountsEachServeEventOnce) {
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "adarts_telemetry_reload.model")
+                               .string();
+  ASSERT_TRUE(Engine().Save(path).ok());
+  net::Server server(Engine(), {});
+  ASSERT_TRUE(server.Start().ok());
+  constexpr std::uint64_t kRecommends = 5;
+  for (std::uint64_t i = 0; i < kRecommends; ++i) {
+    net::Request request;
+    request.type = net::MessageType::kRecommend;
+    request.id = i;
+    request.series.push_back(MakeFaulty(i + 1));
+    auto response = Call(server.port(), request);
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_TRUE(response->ok()) << response->message;
+  }
+  // The SIGHUP path: an out-of-band reload, which reads no frame.
+  ASSERT_TRUE(server.RequestReload(path).ok());
+  for (int i = 0;
+       i < 1000 && server.MetricsSnapshot().Counter("serve.reload.ok") == 0;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+
+  const std::string text = net::PrometheusText(server.Telemetry());
+  const std::map<std::string, std::string> samples = Samples(text);
+  EXPECT_EQ(samples.at("adarts_serve_requests_total"),
+            std::to_string(kRecommends));
+  EXPECT_EQ(samples.at("adarts_serve_ok_total"), std::to_string(kRecommends));
+  EXPECT_EQ(samples.at("adarts_serve_reload_ok_total"), "1");
+  // The names of the removed second and third copies.
+  for (const char* removed :
+       {"adarts_swaps_total", "adarts_serve_reloads_ok_total",
+        "adarts_serve_reloads_failed_total",
+        "adarts_serve_requests_received_total",
+        "adarts_serve_requests_ok_total", "adarts_serve_requests_error_total",
+        "adarts_serve_requests_shed_total",
+        "adarts_serve_requests_deadline_exceeded_total",
+        "adarts_serve_connections_accepted_total",
+        "adarts_serve_connections_refused_total"}) {
+    EXPECT_EQ(text.find(removed), std::string::npos) << removed;
+  }
+  // Each metric family is rendered exactly once.
+  std::map<std::string, int> families;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) ++families[line];
+  }
+  for (const auto& [family, count] : families) {
+    EXPECT_EQ(count, 1) << family;
+  }
+
+  server.RequestShutdown();
+  EXPECT_TRUE(server.Wait().ok());
+  std::remove(path.c_str());
 }
 
 }  // namespace

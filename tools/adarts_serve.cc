@@ -264,15 +264,17 @@ int Main(int argc, char** argv) {
   // goes down only once the last frame reply is written.
   http.Shutdown();
 
-  const net::ServeStats stats = server.stats();
-  LogInfo("serve: drained (" + std::to_string(stats.requests_received) +
-          " requests, " + std::to_string(stats.requests_ok) + " ok, " +
-          std::to_string(stats.requests_shed) + " shed, " +
-          std::to_string(stats.drained_in_flight) +
+  const StageMetrics metrics = server.MetricsSnapshot();
+  const auto count = [&metrics](const char* name) {
+    return std::to_string(metrics.Counter(name));
+  };
+  LogInfo("serve: drained (" + count("serve.requests") + " requests, " +
+          count("serve.ok") + " ok, " + count("serve.shed") + " shed, " +
+          count("serve.drained_in_flight") +
           " answered from the queue during drain, " +
-          std::to_string(stats.reloads_ok) + " reloads ok, " +
-          std::to_string(stats.reloads_failed) + " reloads rejected, " +
-          std::to_string(stats.stats_scrapes) + " telemetry scrapes)");
+          count("serve.reload.ok") + " reloads ok, " +
+          count("serve.reload.failed") + " reloads rejected, " +
+          count("serve.stats_scrapes") + " telemetry scrapes)");
 
   WriteMetricsJson(metrics_path, server);
   if (!drained.ok()) return Fail(drained);

@@ -54,6 +54,15 @@ const json::JsonValue* Member(const json::JsonValue& v, const char* key) {
   return v.Find(key);
 }
 
+/// One counter of the snapshot's folded registry (`metrics.counters`);
+/// 0 when absent.
+double Counter(const json::JsonValue& snap, const char* name) {
+  const json::JsonValue* metrics = Member(snap, "metrics");
+  const json::JsonValue* counters =
+      metrics != nullptr ? Member(*metrics, "counters") : nullptr;
+  return counters != nullptr ? Num(*counters, name) : 0.0;
+}
+
 std::string FormatMs(double ns) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.2f", ns / 1e6);
@@ -62,16 +71,15 @@ std::string FormatMs(double ns) {
 
 struct PrevCounters {
   bool valid = false;
-  double requests_received = 0.0;
-  double requests_shed = 0.0;
+  double requests = 0.0;
+  double shed = 0.0;
   std::chrono::steady_clock::time_point at;
 };
 
 void Render(const json::JsonValue& snap, PrevCounters* prev, bool plain) {
   const auto now = std::chrono::steady_clock::now();
-  const json::JsonValue* stats = Member(snap, "stats");
-  const double received = stats ? Num(*stats, "requests_received") : 0.0;
-  const double shed = stats ? Num(*stats, "requests_shed") : 0.0;
+  const double requests = Counter(snap, "serve.requests");
+  const double shed = Counter(snap, "serve.shed");
 
   double qps = 0.0;
   double shed_ps = 0.0;
@@ -79,13 +87,13 @@ void Render(const json::JsonValue& snap, PrevCounters* prev, bool plain) {
     const double dt =
         std::chrono::duration<double>(now - prev->at).count();
     if (dt > 0.0) {
-      qps = (received - prev->requests_received) / dt;
-      shed_ps = (shed - prev->requests_shed) / dt;
+      qps = (requests - prev->requests) / dt;
+      shed_ps = (shed - prev->shed) / dt;
     }
   }
   prev->valid = true;
-  prev->requests_received = received;
-  prev->requests_shed = shed;
+  prev->requests = requests;
+  prev->shed = shed;
   prev->at = now;
 
   if (!plain) {
@@ -99,13 +107,11 @@ void Render(const json::JsonValue& snap, PrevCounters* prev, bool plain) {
   std::printf("queue %.0f/%.0f\n", Num(snap, "queue_depth"),
               Num(snap, "queue_capacity"));
   std::printf("rate  %8.1f req/s   shed %8.1f req/s\n", qps, shed_ps);
-  if (stats != nullptr) {
-    std::printf(
-        "total %8.0f req     ok %8.0f   shed %6.0f   err %6.0f   "
-        "scrapes %.0f\n",
-        received, Num(*stats, "requests_ok"), shed,
-        Num(*stats, "requests_error"), Num(*stats, "stats_scrapes"));
-  }
+  std::printf(
+      "total %8.0f req     ok %8.0f   shed %6.0f   err %6.0f   "
+      "scrapes %.0f\n",
+      requests, Counter(snap, "serve.ok"), shed, Counter(snap, "serve.errors"),
+      Counter(snap, "serve.stats_scrapes"));
   const json::JsonValue* window = Member(snap, "window_latency");
   if (window != nullptr) {
     const json::JsonValue* hist = Member(*window, "histogram");
@@ -119,7 +125,7 @@ void Render(const json::JsonValue& snap, PrevCounters* prev, bool plain) {
           FormatMs(Num(*hist, "p99_ns")).c_str(), Num(*hist, "count"));
     }
   }
-  std::printf("swaps %.0f\n", Num(snap, "swap_count"));
+  std::printf("swaps %.0f\n", Counter(snap, "serve.reload.ok"));
   const json::JsonValue* tail = Member(snap, "swap_tail");
   if (tail != nullptr && tail->is_array()) {
     for (const json::JsonValue& record : tail->array) {

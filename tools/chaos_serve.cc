@@ -77,6 +77,13 @@ void Check(bool ok, const std::string& what) {
   }
 }
 
+/// The folded registry counters (`metrics.counters`) of a kStats snapshot;
+/// null when the snapshot lacks them.
+const json::JsonValue* SnapshotCounters(const json::JsonValue& snap) {
+  const json::JsonValue* metrics = snap.Find("metrics");
+  return metrics != nullptr ? metrics->Find("counters") : nullptr;
+}
+
 std::uint64_t NowNs() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -586,13 +593,13 @@ void PhaseConnChaos(net::Server* server, std::size_t iters, double qps,
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   traffic.Stop();
   CheckServerAlive(server->port(), "connection chaos");
-  const net::ServeStats stats = server->stats();
-  Check(stats.connections_refused > 0,
-        "conn-chaos: stats never counted a refused connection");
+  const std::uint64_t refused_total =
+      server->MetricsSnapshot().Counter("serve.conn_refused");
+  Check(refused_total > 0,
+        "conn-chaos: serve.conn_refused never counted a refused connection");
   std::printf("phase conn-chaos: %zu hostile connections, cap refusal "
               "observed, server alive (%llu refused total)\n",
-              iters,
-              static_cast<unsigned long long>(stats.connections_refused));
+              iters, static_cast<unsigned long long>(refused_total));
 }
 
 /// Phase 4: arm each net.* failpoint in turn, drive traffic through the
@@ -704,9 +711,10 @@ void PhaseScrapeStorm(net::Server* server, const Fixtures& fx, double qps,
         Check(parsed.ok() && parsed->is_object(),
               "scrape-storm: snapshot is not parseable JSON: " +
                   parsed.status().ToString());
-        const json::JsonValue* stats = parsed->Find("stats");
-        Check(stats != nullptr, "scrape-storm: snapshot lacks stats");
-        const double received = stats->NumberOr("requests_received", -1.0);
+        const json::JsonValue* counters = SnapshotCounters(*parsed);
+        Check(counters != nullptr,
+              "scrape-storm: snapshot lacks metrics.counters");
+        const double received = counters->NumberOr("serve.requests", -1.0);
         Check(received >= last_received,
               "scrape-storm: request count regressed between scrapes (" +
                   std::to_string(last_received) + " -> " +
@@ -751,7 +759,7 @@ void PhaseScrapeStorm(net::Server* server, const Fixtures& fx, double qps,
   Check(traffic.replies() == traffic.sent(),
         "scrape-storm: request replies lost during the scrape storm");
 
-  // One last scrape reflects the storm: the stats_scrapes counter must have
+  // One last scrape reflects the storm: serve.stats_scrapes must have
   // counted every one of them.
   net::Request final_scrape;
   final_scrape.type = net::MessageType::kStats;
@@ -761,24 +769,26 @@ void PhaseScrapeStorm(net::Server* server, const Fixtures& fx, double qps,
         "scrape-storm: final scrape failed");
   auto parsed = json::ParseJson(response->text);
   Check(parsed.ok(), "scrape-storm: final snapshot unparseable");
-  const json::JsonValue* stats = parsed->Find("stats");
-  Check(stats != nullptr &&
-            stats->NumberOr("stats_scrapes", 0.0) >=
+  const json::JsonValue* counters = SnapshotCounters(*parsed);
+  Check(counters != nullptr &&
+            counters->NumberOr("serve.stats_scrapes", 0.0) >=
                 static_cast<double>(kScrapers * kScrapesEach),
-        "scrape-storm: stats_scrapes undercounts the storm");
+        "scrape-storm: serve.stats_scrapes undercounts the storm");
   std::printf("phase scrape-storm: %zu concurrent scrapes answered, "
               "%zu idempotent reloads landed, 0 lost replies\n",
               kScrapers * kScrapesEach, reload_ok);
 }
 
 /// Phase 6: graceful drain under live traffic — every admitted request is
-/// answered, Wait() is clean. The accounting identity is taken as a delta
-/// over this phase only: earlier phases deliberately push reload frames and
-/// undecodable bodies through the reader, which count as received but are
-/// accounted in the reload stats / bad-frame metric instead of the
-/// per-request verdict counters.
+/// answered, Wait() is clean. For recommend/ping traffic every request gets
+/// exactly one verdict: serve.requests == serve.ok + serve.errors +
+/// serve.shed (a deadline expiry is one of the errors). The identity is
+/// taken as a delta over this phase only: earlier phases deliberately push
+/// reload frames, scrapes and undecodable bodies through the reader, which
+/// count in serve.requests but are accounted in serve.reload.*,
+/// serve.stats_scrapes and serve.bad_frames instead of the verdicts.
 void PhaseDrain(net::Server* server, double qps) {
-  const net::ServeStats before = server->stats();
+  const StageMetrics before = server->MetricsSnapshot();
   TrafficPool traffic(server->port(), 3, qps, /*tolerant=*/true);
   traffic.Start();
   std::this_thread::sleep_for(std::chrono::milliseconds(250));
@@ -786,21 +796,21 @@ void PhaseDrain(net::Server* server, double qps) {
   Status drained = server->Wait();
   Check(drained.ok(), "drain: Wait() returned " + drained.ToString());
   traffic.Stop();
-  const net::ServeStats stats = server->stats();
-  const std::uint64_t received =
-      stats.requests_received - before.requests_received;
+  const StageMetrics after = server->MetricsSnapshot();
+  const auto delta = [&](const char* name) {
+    return after.Counter(name) - before.Counter(name);
+  };
+  const std::uint64_t received = delta("serve.requests");
   const std::uint64_t accounted =
-      (stats.requests_ok - before.requests_ok) +
-      (stats.requests_error - before.requests_error) +
-      (stats.requests_shed - before.requests_shed) +
-      (stats.requests_deadline_exceeded - before.requests_deadline_exceeded);
+      delta("serve.ok") + delta("serve.errors") + delta("serve.shed");
   Check(received == accounted,
-        "drain: " + std::to_string(received - accounted) +
-            " admitted requests vanished without a verdict");
+        "drain: " + std::to_string(received) + " requests but " +
+            std::to_string(accounted) + " verdicts");
   std::printf("phase drain: clean shutdown under load (%llu requests, "
               "%llu answered in drain)\n",
               static_cast<unsigned long long>(received),
-              static_cast<unsigned long long>(stats.drained_in_flight));
+              static_cast<unsigned long long>(
+                  after.Counter("serve.drained_in_flight")));
 }
 
 // ---------------------------------------------------------------------------
