@@ -8,6 +8,7 @@
 #include "cluster/kshape.h"
 #include "common/exec_context.h"
 #include "common/rng.h"
+#include "data/generators.h"
 #include "tests/test_util.h"
 
 namespace adarts::cluster {
@@ -27,6 +28,24 @@ std::vector<ts::TimeSeries> TwoFamilies(std::size_t per_family,
     out.push_back(MakeSine(length, 7.0, 0.05, 200 + i));
   }
   return out;
+}
+
+/// The first reference corpus that bench/e2e's train_offline workload
+/// retrains: Climate, Power and Motion, 32 series each of length 256,
+/// generator seed 1.
+std::vector<ts::TimeSeries> ReferenceCorpus() {
+  std::vector<ts::TimeSeries> corpus;
+  for (const data::Category c :
+       {data::Category::kClimate, data::Category::kPower,
+        data::Category::kMotion}) {
+    data::GeneratorOptions g;
+    g.num_series = 32;
+    g.length = 256;
+    g.seed = 1;
+    std::vector<ts::TimeSeries> part = data::GenerateCategory(c, g);
+    corpus.insert(corpus.end(), part.begin(), part.end());
+  }
+  return corpus;
 }
 
 TEST(ClusteringStructTest, AssignmentsInvertClusters) {
@@ -114,6 +133,42 @@ TEST(KShapeTest, ClampsKToSeriesCount) {
   EXPECT_LE(clustering->NumClusters(), 2u);
 }
 
+// The top-level split IncrementalClustering makes on the reference corpus
+// (k = 96 * 0.2 = 19, 10 iterations, seed options.seed + 1), pinned as
+// literals: any change to the k-shape kernels must keep every list.
+TEST(KShapeTest, ReferenceCorpusClustersArePinned) {
+  KShapeOptions opts;
+  opts.k = 19;
+  opts.max_iters = 10;
+  opts.seed = 2;
+  auto clustering = KShapeClustering(ReferenceCorpus(), opts);
+  ASSERT_TRUE(clustering.ok());
+  const std::vector<std::vector<std::size_t>> expected = {
+      {0,  1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11, 12, 13, 14, 15,
+       16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31},
+      {91},
+      {32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47,
+       48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63},
+      {67, 73, 75, 85, 86, 95},
+      {70, 72, 92},
+      {80},
+      {88},
+      {84},
+      {81},
+      {71, 76, 82, 83},
+      {94},
+      {90},
+      {68},
+      {69, 74, 78},
+      {64, 66},
+      {79},
+      {93},
+      {65, 87},
+      {77, 89},
+  };
+  EXPECT_EQ(clustering->clusters, expected);
+}
+
 TEST(KShapeVariantsTest, GridSearchReturnsReasonableClusterCount) {
   const auto series = TwoFamilies(5);
   ExecContext ctx(1);
@@ -188,6 +243,22 @@ TEST(IncrementalClusteringTest, MergePhaseAbsorbsNoisySingletons) {
   ASSERT_TRUE(incremental.ok());
   ASSERT_TRUE(iterative.ok());
   EXPECT_LT(incremental->NumClusters(), iterative->NumClusters());
+}
+
+TEST(IncrementalClusteringTest, ReferenceCorpusClustersArePinned) {
+  ExecContext ctx(2);
+  auto clustering = IncrementalClustering(ReferenceCorpus(), {}, ctx);
+  ASSERT_TRUE(clustering.ok());
+  const std::vector<std::vector<std::size_t>> expected = {
+      {0,  1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11, 12, 13, 14, 15, 16, 17,
+       18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 91, 80, 88, 81},
+      {32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49,
+       50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 70, 72, 92, 78},
+      {67, 73, 75, 85, 86, 95, 90, 65, 87, 93, 77, 89, 69, 74, 68},
+      {71, 76, 82, 83, 84},
+      {79, 64, 66, 94},
+  };
+  EXPECT_EQ(clustering->clusters, expected);
 }
 
 TEST(IncrementalClusteringTest, HighlyCorrelatedCorpusStaysOneCluster) {
