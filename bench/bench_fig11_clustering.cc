@@ -7,7 +7,8 @@
 // correlated; grid search is accurate but slow; iterative over-fragments.
 // Part (c): thread scaling + parity of the parallel correlation matrix and
 // incremental clustering (--threads N sizes parts (a)/(b), default 0 =
-// hardware concurrency; part (c) sweeps 1/2/4 regardless).
+// hardware concurrency; part (c) sweeps 1/2/4 regardless). The binary exits 1
+// when any part (c) row reports MISMATCH.
 
 #include <cstdio>
 #include <cstdlib>
@@ -142,6 +143,7 @@ int Run(std::size_t num_threads, const std::string& json_path) {
   const auto ref_clusters =
       cluster::IncrementalClustering(corpus, copts, ref_ctx);
   double serial_total = 0.0;
+  bool parity = true;
   for (std::size_t threads : {1, 2, 4}) {
     // One context per row: the correlation matrix and the clustering share
     // its pool (constructed lazily, once).
@@ -162,6 +164,7 @@ int Run(std::size_t num_threads, const std::string& json_path) {
         }
       }
     }
+    parity = parity && identical;
     const double total = corr_seconds + cluster_seconds;
     if (threads == 1) serial_total = total;
     std::printf("%-10zu %14s %14s %9sx %8s\n", threads,
@@ -181,6 +184,11 @@ int Run(std::size_t num_threads, const std::string& json_path) {
   std::printf("(pairs fan out over the upper-triangle index space; matrices "
               "and cluster assignments are bit-identical at every thread "
               "count)\n");
+  if (!parity) {
+    std::fprintf(stderr, "FAIL: part (c) clusterings or correlation "
+                         "matrices differ across thread counts\n");
+    return 1;
+  }
   return 0;
 }
 

@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "cluster/kshape.h"
 #include "common/rng.h"
+#include "data/generators.h"
 #include "features/feature_extractor.h"
 #include "impute/cdrec.h"
 #include "impute/imputer.h"
@@ -82,6 +84,49 @@ void BM_NccAllLags(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NccAllLags)->Arg(128)->Arg(512);
+
+// One k-shape alignment: both spectra are computed before the loop, so an
+// iteration is one spectrum product and one inverse FFT.
+void BM_BestAlignment(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(2);
+  la::Vector noisy = SineSignal(n);
+  for (double& x : noisy) x += rng.Normal(0, 0.3);
+  const std::size_t fft_size = ts::NextPowerOfTwo(2 * n);
+  const ts::NccSpectrum a = ts::ComputeNccSpectrum(SineSignal(n), fft_size);
+  const ts::NccSpectrum b = ts::ComputeNccSpectrum(noisy, fft_size);
+  for (auto _ : state) {
+    auto alignment = ts::BestAlignment(a, b);
+    benchmark::DoNotOptimize(alignment);
+  }
+}
+BENCHMARK(BM_BestAlignment)->Arg(256);
+
+// The top-level k-shape split IncrementalClustering makes on bench/e2e's
+// first train_offline corpus: Climate, Power and Motion x 32 series x length
+// 256 (generator seed 1), k = 96 * 0.2 = 19, 10 iterations, seed 2.
+void BM_KShapeClustering(benchmark::State& state) {
+  std::vector<ts::TimeSeries> corpus;
+  for (const data::Category c :
+       {data::Category::kClimate, data::Category::kPower,
+        data::Category::kMotion}) {
+    data::GeneratorOptions g;
+    g.num_series = 32;
+    g.length = 256;
+    g.seed = 1;
+    std::vector<ts::TimeSeries> part = data::GenerateCategory(c, g);
+    corpus.insert(corpus.end(), part.begin(), part.end());
+  }
+  cluster::KShapeOptions options;
+  options.k = 19;
+  options.max_iters = 10;
+  options.seed = 2;
+  for (auto _ : state) {
+    auto clustering = cluster::KShapeClustering(corpus, options);
+    benchmark::DoNotOptimize(clustering);
+  }
+}
+BENCHMARK(BM_KShapeClustering)->Unit(benchmark::kMillisecond);
 
 void BM_RipsPersistence(benchmark::State& state) {
   const la::Vector signal = SineSignal(256);

@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "ts/correlation.h"
+#include "ts/fft.h"
 
 namespace adarts::cluster {
 
@@ -90,21 +91,35 @@ Result<Clustering> KShapeClustering(const std::vector<ts::TimeSeries>& series,
     }
   }
 
+  // Every alignment is centroid against member, both of length `len`, so
+  // all spectra share one size. A centroid's spectrum is computed when the
+  // centroid is picked or re-extracted; a member's once per pass over the
+  // members, and the assignment pass aligns it against all k centroids.
+  const std::size_t fft_size = ts::NextPowerOfTwo(2 * len);
+  const auto spectrum = [fft_size](const la::Vector& v) {
+    return ts::ComputeNccSpectrum(v, fft_size);
+  };
+
   Rng rng(options.seed);
   // Farthest-first initial centroids over the SBD metric: the first is a
   // random member, each next the series farthest from the chosen set. This
   // reliably separates distinct shape families from iteration one.
   std::vector<la::Vector> centroids;
+  std::vector<ts::NccSpectrum> centroid_spectra;
   centroids.reserve(k);
+  centroid_spectra.reserve(k);
   {
     std::vector<double> min_dist(n, 1e300);
     std::size_t next = static_cast<std::size_t>(rng.UniformInt(n));
     for (std::size_t c = 0; c < k; ++c) {
       centroids.push_back(z[next]);
+      centroid_spectra.push_back(spectrum(z[next]));
       double best = -1.0;
       std::size_t best_idx = 0;
       for (std::size_t i = 0; i < n; ++i) {
-        const double d = 1.0 - ts::BestAlignment(z[next], z[i]).ncc;
+        const double d =
+            1.0 -
+            ts::BestAlignment(centroid_spectra[c], spectrum(z[i])).ncc;
         min_dist[i] = std::min(min_dist[i], d);
         if (min_dist[i] > best) {
           best = min_dist[i];
@@ -116,9 +131,10 @@ Result<Clustering> KShapeClustering(const std::vector<ts::TimeSeries>& series,
   }
   std::vector<std::size_t> assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
+    const ts::NccSpectrum member = spectrum(z[i]);
     double best = 1e300;
     for (std::size_t c = 0; c < k; ++c) {
-      const double d = 1.0 - ts::BestAlignment(centroids[c], z[i]).ncc;
+      const double d = 1.0 - ts::BestAlignment(centroid_spectra[c], member).ncc;
       if (d < best) {
         best = d;
         assign[i] = c;
@@ -135,21 +151,25 @@ Result<Clustering> KShapeClustering(const std::vector<ts::TimeSeries>& series,
         if (la::Norm2(centroids[c]) < 1e-9) {
           aligned.push_back(z[i]);
         } else {
-          const ts::SbdAlignment al = ts::BestAlignment(centroids[c], z[i]);
+          const ts::SbdAlignment al =
+              ts::BestAlignment(centroid_spectra[c], spectrum(z[i]));
           aligned.push_back(ShiftVector(z[i], al.shift));
         }
       }
       centroids[c] = ExtractShape(aligned, centroids[c]);
+      centroid_spectra[c] = spectrum(centroids[c]);
     }
 
     // --- Assignment: nearest centroid under SBD.
     bool changed = false;
     for (std::size_t i = 0; i < n; ++i) {
+      const ts::NccSpectrum member = spectrum(z[i]);
       double best = 1e300;
       std::size_t best_c = assign[i];
       for (std::size_t c = 0; c < k; ++c) {
         if (la::Norm2(centroids[c]) < 1e-9) continue;
-        const double d = 1.0 - ts::BestAlignment(centroids[c], z[i]).ncc;
+        const double d =
+            1.0 - ts::BestAlignment(centroid_spectra[c], member).ncc;
         if (d < best) {
           best = d;
           best_c = c;

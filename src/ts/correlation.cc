@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <complex>
 
 #include "common/check.h"
 #include "ts/fft.h"
@@ -11,12 +10,44 @@ namespace adarts::ts {
 
 namespace {
 
-la::Vector ZNorm(const la::Vector& v) {
-  const double m = la::Mean(v);
-  double sd = la::StdDev(v);
-  if (sd <= 0.0) sd = 1.0;
-  la::Vector out(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) out[i] = (v[i] - m) / sd;
+/// The spectrum size the vector forms use for a pair of series.
+std::size_t PairFftSize(const la::Vector& a, const la::Vector& b) {
+  ADARTS_CHECK(!a.empty() && !b.empty());
+  return NextPowerOfTwo(2 * std::max(a.size(), b.size()));
+}
+
+/// NCC_c at every shift from two spectra: the product A * conj(B), one
+/// inverse FFT, and the normalisation. The product is written in real
+/// arithmetic: the multiplies and adds of the std::complex<double> product,
+/// without the NaN-recovery call (__muldc3) that one compiles to.
+la::Vector NccFromSpectra(const NccSpectrum& a, const NccSpectrum& b) {
+  const std::size_t fft_size = a.bins.size();
+  ADARTS_CHECK(b.bins.size() == fft_size);
+  std::vector<std::complex<double>> cross(fft_size);
+  for (std::size_t i = 0; i < fft_size; ++i) {
+    const double ar = a.bins[i].real();
+    const double ai = a.bins[i].imag();
+    const double br = b.bins[i].real();
+    const double bi = b.bins[i].imag();
+    cross[i] = {ar * br + ai * bi, ai * br - ar * bi};
+  }
+  Fft(&cross, /*inverse=*/true);
+
+  // Cross-correlation CC(s) = sum_t za[t] * zb[t - s]; the inverse FFT is
+  // unscaled, so divide by fft_size. NCC_c normalises by the z-norm product.
+  const std::size_t n = std::max(a.length, b.length);
+  const double norm = static_cast<double>(fft_size) *
+                      (std::sqrt(static_cast<double>(a.length)) *
+                       std::sqrt(static_cast<double>(b.length)));
+  la::Vector out(2 * n - 1);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const int s = static_cast<int>(i) - static_cast<int>(n - 1);
+    // Positive shifts live at index s, negative at fft_size + s (circular).
+    const std::size_t idx =
+        s >= 0 ? static_cast<std::size_t>(s)
+               : fft_size - static_cast<std::size_t>(-s);
+    out[i] = cross[idx].real() / norm;
+  }
   return out;
 }
 
@@ -32,70 +63,36 @@ double Pearson(const TimeSeries& a, const TimeSeries& b) {
   return la::PearsonCorrelation(va, vb);
 }
 
-double NormalizedCrossCorrelation(const la::Vector& a, const la::Vector& b,
-                                  int lag) {
-  ADARTS_CHECK(!a.empty() && !b.empty());
-  const la::Vector za = ZNorm(a);
-  const la::Vector zb = ZNorm(b);
-  const auto n = static_cast<std::ptrdiff_t>(std::min(za.size(), zb.size()));
-  double s = 0.0;
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    const std::ptrdiff_t j = i - lag;
-    if (j < 0 || j >= static_cast<std::ptrdiff_t>(zb.size())) continue;
-    s += za[static_cast<std::size_t>(i)] * zb[static_cast<std::size_t>(j)];
+NccSpectrum ComputeNccSpectrum(const la::Vector& v, std::size_t fft_size) {
+  ADARTS_CHECK(!v.empty() && fft_size >= 2 * v.size());
+  const double m = la::Mean(v);
+  double sd = la::StdDev(v);
+  if (sd <= 0.0) sd = 1.0;
+  NccSpectrum spectrum;
+  spectrum.length = v.size();
+  spectrum.bins.assign(fft_size, {0.0, 0.0});
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    spectrum.bins[i] = {(v[i] - m) / sd, 0.0};
   }
-  return s / static_cast<double>(n);
-}
-
-double MaxCrossCorrelation(const la::Vector& a, const la::Vector& b,
-                           int max_lag) {
-  double best = -2.0;
-  for (int lag = -max_lag; lag <= max_lag; ++lag) {
-    best = std::max(best, NormalizedCrossCorrelation(a, b, lag));
-  }
-  return best;
-}
-
-double ShapeBasedDistance(const la::Vector& a, const la::Vector& b) {
-  return 1.0 - BestAlignment(a, b).ncc;
+  Fft(&spectrum.bins);
+  return spectrum;
 }
 
 la::Vector NccAllLags(const la::Vector& a, const la::Vector& b) {
-  ADARTS_CHECK(!a.empty() && !b.empty());
-  const la::Vector za = ZNorm(a);
-  const la::Vector zb = ZNorm(b);
-  const std::size_t n = std::max(za.size(), zb.size());
-  const std::size_t fft_size = NextPowerOfTwo(2 * n);
-
-  std::vector<std::complex<double>> fa(fft_size, {0.0, 0.0});
-  std::vector<std::complex<double>> fb(fft_size, {0.0, 0.0});
-  for (std::size_t i = 0; i < za.size(); ++i) fa[i] = {za[i], 0.0};
-  for (std::size_t i = 0; i < zb.size(); ++i) fb[i] = {zb[i], 0.0};
-  Fft(&fa);
-  Fft(&fb);
-  for (std::size_t i = 0; i < fft_size; ++i) fa[i] *= std::conj(fb[i]);
-  Fft(&fa, /*inverse=*/true);
-
-  // Cross-correlation CC(s) = sum_t za[t] * zb[t - s]; the inverse FFT is
-  // unscaled, so divide by fft_size. NCC_c normalises by the z-norm product.
-  const double norm = static_cast<double>(fft_size) *
-                      (std::sqrt(static_cast<double>(za.size())) *
-                       std::sqrt(static_cast<double>(zb.size())));
-  la::Vector out(2 * n - 1);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const int s = static_cast<int>(i) - static_cast<int>(n - 1);
-    // Positive shifts live at index s, negative at fft_size + s (circular).
-    const std::size_t idx =
-        s >= 0 ? static_cast<std::size_t>(s)
-               : fft_size - static_cast<std::size_t>(-s);
-    out[i] = fa[idx].real() / norm;
-  }
-  return out;
+  const std::size_t fft_size = PairFftSize(a, b);
+  return NccFromSpectra(ComputeNccSpectrum(a, fft_size),
+                        ComputeNccSpectrum(b, fft_size));
 }
 
 SbdAlignment BestAlignment(const la::Vector& a, const la::Vector& b) {
-  const la::Vector ncc = NccAllLags(a, b);
-  const std::size_t n = std::max(a.size(), b.size());
+  const std::size_t fft_size = PairFftSize(a, b);
+  return BestAlignment(ComputeNccSpectrum(a, fft_size),
+                       ComputeNccSpectrum(b, fft_size));
+}
+
+SbdAlignment BestAlignment(const NccSpectrum& a, const NccSpectrum& b) {
+  const la::Vector ncc = NccFromSpectra(a, b);
+  const std::size_t n = std::max(a.length, b.length);
   SbdAlignment best;
   for (std::size_t i = 0; i < ncc.size(); ++i) {
     if (ncc[i] > best.ncc) {
@@ -104,19 +101,6 @@ SbdAlignment BestAlignment(const la::Vector& a, const la::Vector& b) {
     }
   }
   return best;
-}
-
-double AveragePairwiseCorrelation(const std::vector<TimeSeries>& series) {
-  if (series.size() < 2) return 1.0;
-  double sum = 0.0;
-  std::size_t pairs = 0;
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    for (std::size_t j = i + 1; j < series.size(); ++j) {
-      sum += std::fabs(Pearson(series[i], series[j]));
-      ++pairs;
-    }
-  }
-  return sum / static_cast<double>(pairs);
 }
 
 }  // namespace adarts::ts

@@ -1,7 +1,9 @@
 #ifndef ADARTS_TS_CORRELATION_H_
 #define ADARTS_TS_CORRELATION_H_
 
+#include <complex>
 #include <cstddef>
+#include <vector>
 
 #include "la/vector_ops.h"
 #include "ts/time_series.h"
@@ -12,40 +14,41 @@ namespace adarts::ts {
 /// complete; masks are ignored). 0 when either side is constant.
 double Pearson(const TimeSeries& a, const TimeSeries& b);
 
-/// Normalised cross-correlation coefficient NCC_c at integer `lag`
-/// (positive lag shifts `b` right). Series are z-normalised internally, so
-/// the result lies in [-1, 1].
-double NormalizedCrossCorrelation(const la::Vector& a, const la::Vector& b,
-                                  int lag);
-
-/// Maximum normalised cross-correlation over lags in [-max_lag, max_lag],
-/// the "shifted" similarity that tolerates the time shifts present in the
-/// Power / Medical categories.
-double MaxCrossCorrelation(const la::Vector& a, const la::Vector& b,
-                           int max_lag);
-
-/// Shape-based distance used by k-shape: 1 - max_w NCC_c(a, b, w) over all
-/// alignments. Ranges in [0, 2].
-double ShapeBasedDistance(const la::Vector& a, const la::Vector& b);
-
-/// Coefficient-normalised cross-correlation NCC_c for every alignment,
-/// computed in O(n log n) via FFT. Inputs are z-normalised internally.
-/// Entry `i` corresponds to shift s = i - (n - 1), s in [-(n-1), n-1],
-/// where n = max(|a|, |b|). Values lie in [-1, 1].
+/// Best alignment of one series against another under NCC_c.
 struct SbdAlignment {
   double ncc = -1.0;  ///< best NCC_c over all shifts
   int shift = 0;      ///< the maximising shift (b moved right by `shift`)
 };
 
-/// All-lags NCC_c sequence (FFT-based), used by k-shape.
+/// The half of an NCC_c computation that depends on one series alone: the
+/// series z-normalised, zero-padded to `fft_size` and forward-transformed.
+/// With it computed once, each further alignment of that series costs one
+/// spectrum product and one inverse FFT (k-shape aligns every member
+/// against every centroid).
+struct NccSpectrum {
+  std::size_t length = 0;                  ///< samples before padding
+  std::vector<std::complex<double>> bins;  ///< `fft_size` FFT bins
+};
+
+/// Spectrum of `v` for alignments against series of at most
+/// `fft_size / 2` samples. `v` must be non-empty, and `fft_size` a power of
+/// two no smaller than 2 * |v|. The vector forms below use
+/// NextPowerOfTwo(2 * max(|a|, |b|)).
+NccSpectrum ComputeNccSpectrum(const la::Vector& v, std::size_t fft_size);
+
+/// Coefficient-normalised cross-correlation NCC_c for every alignment,
+/// computed in O(n log n) via FFT. Inputs are z-normalised internally.
+/// Entry `i` corresponds to shift s = i - (n - 1), s in [-(n-1), n-1],
+/// where n = max(|a|, |b|). Values lie in [-1, 1].
 la::Vector NccAllLags(const la::Vector& a, const la::Vector& b);
 
-/// Best alignment of `b` against `a` under NCC_c.
+/// Best alignment of `b` against `a` under NCC_c: the first maximising
+/// entry of NccAllLags(a, b).
 SbdAlignment BestAlignment(const la::Vector& a, const la::Vector& b);
 
-/// Average pairwise Pearson correlation (absolute value) across a set of
-/// series; 1.0 for singleton sets. This is the rho-bar of Algorithm 2.
-double AveragePairwiseCorrelation(const std::vector<TimeSeries>& series);
+/// The same alignment from precomputed spectra, which must share one
+/// `fft_size`; bit-identical to the vector form at that size.
+SbdAlignment BestAlignment(const NccSpectrum& a, const NccSpectrum& b);
 
 }  // namespace adarts::ts
 

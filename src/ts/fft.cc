@@ -20,18 +20,28 @@ void Fft(std::vector<std::complex<double>>* data, bool inverse) {
     if (i < j) std::swap(a[i], a[j]);
   }
 
+  // Butterflies and the twiddle recurrence w *= wlen in real arithmetic:
+  // the same multiplies and adds, in the same order, as std::complex<double>
+  // products, without the NaN-recovery call (__muldc3) those compile to.
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const double angle =
         2.0 * std::numbers::pi / static_cast<double>(len) * (inverse ? 1 : -1);
-    const std::complex<double> wlen(std::cos(angle), std::sin(angle));
+    const double wlen_re = std::cos(angle);
+    const double wlen_im = std::sin(angle);
+    const std::size_t half = len / 2;
     for (std::size_t i = 0; i < n; i += len) {
-      std::complex<double> w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
+      double w_re = 1.0;
+      double w_im = 0.0;
+      for (std::size_t k = 0; k < half; ++k) {
         const std::complex<double> u = a[i + k];
-        const std::complex<double> v = a[i + k + len / 2] * w;
-        a[i + k] = u + v;
-        a[i + k + len / 2] = u - v;
-        w *= wlen;
+        const std::complex<double> x = a[i + k + half];
+        const double v_re = x.real() * w_re - x.imag() * w_im;
+        const double v_im = x.real() * w_im + x.imag() * w_re;
+        a[i + k] = {u.real() + v_re, u.imag() + v_im};
+        a[i + k + half] = {u.real() - v_re, u.imag() - v_im};
+        const double next_re = w_re * wlen_re - w_im * wlen_im;
+        w_im = w_re * wlen_im + w_im * wlen_re;
+        w_re = next_re;
       }
     }
   }
