@@ -51,7 +51,10 @@ namespace {
 /// Timed runs per arm; each arm reports its median. The warm race scores
 /// pipelines with a wall-clock term, so the work one append does varies from
 /// run to run, and a single 10-40 ms append sample swings the speedup by 2x.
-constexpr int kRuns = 9;
+/// With the --quick retrain arm near 0.1 s, the median of 9 runs still put
+/// the speedup anywhere in 6.2-12.4x on a 4-vCPU VM; 21 runs held it to
+/// 10.6-11.9x.
+constexpr int kRuns = 21;
 
 struct Config {
   std::size_t series = 500;
