@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "adarts/adarts.h"
 #include "common/rng.h"
 #include "data/generators.h"
@@ -162,6 +167,217 @@ TEST(AdartsIntegrationTest, TrainFromLabeledRejectsPoolMismatch) {
   const std::vector<impute::Algorithm> pool = {impute::Algorithm::kCdRec};
   ExecContext ctx;
   EXPECT_FALSE(Adarts::TrainFromLabeled(labeled, pool, {}, {}, 17, ctx).ok());
+}
+
+
+/// What a training run produced, reduced to comparable values: the labels,
+/// the race's elites, the committee, the rankings of fixed probes, and
+/// FNV-1a digests over the raw bytes of the feature rows and elite scores.
+struct TrainingDigest {
+  std::vector<int> labels;
+  std::uint64_t features_fnv = 0;
+  std::vector<std::string> elites;
+  std::vector<std::uint64_t> elite_scores_fnv;
+  std::size_t committee_size = 0;
+  /// One comma-joined `RecommendEx` ranking per probe.
+  std::vector<std::string> rankings;
+};
+
+std::uint64_t BytesFnv(const std::vector<double>& v) {
+  return Fnv1a64(std::string_view(reinterpret_cast<const char*>(v.data()),
+                                  v.size() * sizeof(double)));
+}
+
+TrainingDigest DigestOf(const Adarts& engine,
+                        const std::vector<ts::TimeSeries>& probes) {
+  TrainingDigest d;
+  d.labels = engine.training_data().labels;
+  std::vector<double> rows;
+  for (const la::Vector& f : engine.training_data().features) {
+    rows.insert(rows.end(), f.begin(), f.end());
+  }
+  d.features_fnv = BytesFnv(rows);
+  for (const automl::RacedPipeline& e : engine.race_report().elites) {
+    d.elites.push_back(e.spec.ToString());
+    d.elite_scores_fnv.push_back(BytesFnv(e.scores));
+  }
+  d.committee_size = engine.committee_size();
+  for (const ts::TimeSeries& probe : probes) {
+    Result<Recommendation> rec = engine.RecommendEx(probe);
+    if (!rec.ok()) {
+      d.rankings.push_back(rec.status().ToString());
+      continue;
+    }
+    std::string joined;
+    for (impute::Algorithm a : rec->ranking) {
+      if (!joined.empty()) joined += ",";
+      joined += impute::AlgorithmToString(a);
+    }
+    d.rankings.push_back(std::move(joined));
+  }
+  return d;
+}
+
+void ExpectDigest(const TrainingDigest& got, const TrainingDigest& want) {
+  EXPECT_EQ(got.labels, want.labels);
+  EXPECT_EQ(got.features_fnv, want.features_fnv);
+  EXPECT_EQ(got.elites, want.elites);
+  EXPECT_EQ(got.elite_scores_fnv, want.elite_scores_fnv);
+  EXPECT_EQ(got.committee_size, want.committee_size);
+  EXPECT_EQ(got.rankings, want.rankings);
+}
+
+// The pinned digests of the three training entry points on the corpus of
+// TrainingGoldenTest. They hold at every thread count and must not move
+// under a refactor: a change that alters them changes what Train learns.
+
+/// Train on the 39-series corpus.
+const TrainingDigest kTrained{
+    .labels = {
+        7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5,
+        5, 5, 6, 6, 7, 6, 11, 11, 11, 5, 6, 6, 6, 11, 7},
+    .features_fnv = 0x476222c76e26e284ULL,
+    .elites = {"ridge(alpha=1.19153)+minmax"},
+    .elite_scores_fnv = {0x95de177e9c1ab28fULL},
+    .committee_size = 1,
+    .rankings = {
+        "tenmf,dynammo,trmf,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,mean,linear_interp,knn_impute,iim",
+        "tenmf,iim,dynammo,trmf,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,mean,linear_interp,knn_impute",
+        "tenmf,iim,trmf,cdrec,svd_impute,soft_impute,svt,grouse,rosl,stmvl,"
+        "tkcm,mean,linear_interp,knn_impute,dynammo",
+        "dynammo,iim,tenmf,cdrec,svd_impute,soft_impute,svt,grouse,rosl,stmvl,"
+        "tkcm,mean,linear_interp,knn_impute,trmf",
+        "dynammo,iim,cdrec,svd_impute,soft_impute,svt,grouse,rosl,stmvl,tkcm,"
+        "mean,linear_interp,knn_impute,trmf,tenmf",
+        "dynammo,tenmf,trmf,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,mean,linear_interp,knn_impute,iim",
+        "iim,trmf,dynammo,cdrec,svd_impute,soft_impute,svt,grouse,rosl,stmvl,"
+        "tkcm,mean,linear_interp,knn_impute,tenmf",
+        "trmf,tenmf,dynammo,iim,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,mean,linear_interp,knn_impute",
+        "trmf,tenmf,dynammo,iim,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,mean,linear_interp,knn_impute"},
+};
+
+/// AppendSeries of the 9 delta series on that engine.
+const TrainingDigest kAppended{
+    .labels = {
+        7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5,
+        5, 5, 6, 6, 7, 6, 11, 11, 11, 5, 6, 6, 6, 11, 7, 7, 7, 7, 5, 5, 5, 6,
+        11, 12},
+    .features_fnv = 0x609ca3a35c521444ULL,
+    .elites = {"ridge(alpha=0.693722)+minmax", "ridge(alpha=0.693722)+minmax"},
+    .elite_scores_fnv = {0xe75b750c34c90e38ULL, 0xe42a3fa598f69d2cULL},
+    .committee_size = 2,
+    .rankings = {
+        "tenmf,dynammo,trmf,mean,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,linear_interp,knn_impute,iim",
+        "tenmf,trmf,dynammo,mean,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,linear_interp,knn_impute,iim",
+        "tenmf,iim,mean,cdrec,svd_impute,soft_impute,svt,grouse,rosl,stmvl,"
+        "tkcm,linear_interp,knn_impute,trmf,dynammo",
+        "dynammo,iim,tenmf,cdrec,svd_impute,soft_impute,svt,grouse,rosl,stmvl,"
+        "tkcm,linear_interp,knn_impute,trmf,mean",
+        "dynammo,iim,trmf,cdrec,svd_impute,soft_impute,svt,grouse,rosl,stmvl,"
+        "tkcm,linear_interp,knn_impute,mean,tenmf",
+        "dynammo,tenmf,cdrec,svd_impute,soft_impute,svt,grouse,rosl,stmvl,"
+        "tkcm,linear_interp,knn_impute,trmf,iim,mean",
+        "trmf,iim,dynammo,mean,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,linear_interp,knn_impute,tenmf",
+        "trmf,tenmf,iim,dynammo,mean,cdrec,svd_impute,soft_impute,svt,grouse,"
+        "rosl,stmvl,tkcm,linear_interp,knn_impute",
+        "tenmf,trmf,mean,dynammo,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,linear_interp,knn_impute,iim"},
+};
+
+/// TrainFromLabeled on the trained engine's rows, seed 99.
+const TrainingDigest kFromLabeled{
+    .labels = kTrained.labels,
+    .features_fnv = kTrained.features_fnv,
+    .elites = {
+        "random_forest(feature_fraction=0.446616,max_depth=7,num_trees=38)"
+        "+robust",
+        "random_forest(feature_fraction=0.446616,max_depth=6,num_trees=38)"
+        "+robust",
+        "random_forest(feature_fraction=0.376702,max_depth=6,num_trees=36)"
+        "+pca(0.323625)"},
+    .elite_scores_fnv = {0xd3f744cbbf1fcfb7ULL, 0x12c8eac993f2574eULL,
+                         0x3d8959b0717ca011ULL},
+    .committee_size = 3,
+    .rankings = {
+        "tenmf,iim,dynammo,trmf,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,mean,linear_interp,knn_impute",
+        "tenmf,trmf,iim,dynammo,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,mean,linear_interp,knn_impute",
+        "tenmf,iim,dynammo,cdrec,svd_impute,soft_impute,svt,grouse,trmf,rosl,"
+        "stmvl,tkcm,mean,linear_interp,knn_impute",
+        "dynammo,trmf,tenmf,iim,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,mean,linear_interp,knn_impute",
+        "dynammo,iim,trmf,cdrec,svd_impute,soft_impute,svt,grouse,tenmf,rosl,"
+        "stmvl,tkcm,mean,linear_interp,knn_impute",
+        "dynammo,tenmf,iim,trmf,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,mean,linear_interp,knn_impute",
+        "trmf,iim,tenmf,dynammo,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,mean,linear_interp,knn_impute",
+        "trmf,dynammo,iim,tenmf,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,mean,linear_interp,knn_impute",
+        "trmf,tenmf,iim,dynammo,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,mean,linear_interp,knn_impute"},
+};
+
+/// Pins what the three training entry points learn on a fixed corpus, at 1
+/// and at `TestThreadCount()` threads: 13 series each of Climate, Power and
+/// Motion train the engine, the last 3 of each are the appended delta, and
+/// the delta masked with one single block is the probe set. gamma = 0 keeps
+/// wall-clock out of the race, so every pinned value is exact.
+TEST(TrainingGoldenTest, TrainAppendAndTrainFromLabeledArePinned) {
+  data::GeneratorOptions gopts;
+  gopts.num_series = 16;
+  gopts.length = 160;
+  gopts.seed = 1;
+  std::vector<ts::TimeSeries> corpus;
+  std::vector<ts::TimeSeries> delta;
+  for (data::Category c : {data::Category::kClimate, data::Category::kPower,
+                           data::Category::kMotion}) {
+    std::vector<ts::TimeSeries> series = data::GenerateCategory(c, gopts);
+    for (std::size_t i = 0; i < series.size(); ++i) {
+      (i < 13 ? corpus : delta).push_back(std::move(series[i]));
+    }
+  }
+  std::vector<ts::TimeSeries> probes = delta;
+  Rng mask_rng(5);
+  for (ts::TimeSeries& p : probes) {
+    ASSERT_TRUE(ts::InjectPattern(ts::MissingPattern::kSingleBlock, 0.1,
+                                  &mask_rng, &p)
+                    .ok());
+  }
+
+  TrainOptions options;
+  options.race.gamma = 0.0;  // no wall-clock term enters the race
+  UpdateOptions update;
+  update.race.gamma = 0.0;
+
+  for (std::size_t threads : {std::size_t{1}, testing::TestThreadCount()}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExecContext train_ctx(threads);
+    Result<Adarts> engine = Adarts::Train(corpus, options, train_ctx);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    ExpectDigest(DigestOf(*engine, probes), kTrained);
+    const ml::Dataset rows = engine->training_data();
+
+    ExecContext append_ctx(threads);
+    ASSERT_TRUE(engine->AppendSeries(delta, update, append_ctx).ok());
+    ExpectDigest(DigestOf(*engine, probes), kAppended);
+
+    ExecContext labeled_ctx(threads);
+    Result<Adarts> from_labeled = Adarts::TrainFromLabeled(
+        rows, engine->algorithm_pool(), options.features, options.race, 99,
+        labeled_ctx);
+    ASSERT_TRUE(from_labeled.ok()) << from_labeled.status();
+    ExpectDigest(DigestOf(*from_labeled, probes), kFromLabeled);
+  }
 }
 
 }  // namespace
