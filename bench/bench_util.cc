@@ -16,6 +16,14 @@
 
 namespace adarts::bench {
 
+namespace {
+
+/// Share of each category experiment's rows that trains: the paper's 65/35
+/// holdout.
+constexpr double kTrainFraction = 0.65;
+
+}  // namespace
+
 std::vector<impute::Algorithm> BenchPool() {
   // One representative per behavioural family (matrix completion, linear
   // dynamics, temporal factorization, multi-view blending, pattern
@@ -83,7 +91,7 @@ Result<CategoryExperiment> BuildCategoryExperiment(
 
   ADARTS_ASSIGN_OR_RETURN(
       ml::TrainTestSplit split,
-      ml::StratifiedSplit(labeled, options.train_fraction, &rng));
+      ml::StratifiedSplit(labeled, kTrainFraction, &rng));
   experiment.train = std::move(split.train);
   experiment.test = std::move(split.test);
   return experiment;

@@ -25,7 +25,6 @@ struct ExperimentOptions {
   std::size_t series_per_variant = 30;
   std::size_t length = 192;
   double missing_fraction = 0.1;
-  double train_fraction = 0.65;        ///< the paper's 65/35 holdout
   std::uint64_t seed = 7;
 };
 
@@ -39,7 +38,7 @@ struct CategoryExperiment {
 };
 
 /// Builds the experiment for `category` (generation + labeling + feature
-/// extraction + stratified holdout).
+/// extraction + the paper's stratified 65/35 holdout).
 Result<CategoryExperiment> BuildCategoryExperiment(
     data::Category category, const ExperimentOptions& options,
     const features::FeatureExtractorOptions& feature_options = {});

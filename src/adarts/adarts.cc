@@ -12,7 +12,6 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
-#include "ts/missing.h"
 
 namespace adarts {
 
@@ -68,47 +67,41 @@ Result<Adarts> Adarts::Train(const std::vector<ts::TimeSeries>& corpus,
   // as the pre-decomposition monolith did, so the trained engine is
   // bit-identical to earlier builds.
 
-  // --- (1) Clustering (fast path only), then labeling + feature extraction.
-  ClusterStageState clusters;
-  const cluster::Clustering* clustering = nullptr;
-  if (options.use_cluster_labeling) {
-    ADARTS_ASSIGN_OR_RETURN(clusters, ClusterStage(corpus, options, ctx));
-    clustering = &clusters.clustering;
-  }
-  ADARTS_ASSIGN_OR_RETURN(LabelStageState labeled,
-                          LabelStage(corpus, clustering, options, &rng, ctx));
+  // --- (1) Clustering, then labeling + feature extraction.
+  ADARTS_ASSIGN_OR_RETURN(ClusterStageState clusters,
+                          ClusterStage(corpus, options, ctx));
+  ADARTS_ASSIGN_OR_RETURN(
+      LabelStageState labeled,
+      LabelStage(corpus, &clusters.clustering, options, &rng, ctx));
 
   // --- (2) ModelRace over the labeled data, then the voting committee.
   ADARTS_ASSIGN_OR_RETURN(
       RaceStageState race,
-      RaceStage(labeled.labeled, options.race, options.race_train_fraction,
-                nullptr, &rng, ctx));
+      RaceStage(labeled.labeled, options.race,
+                TrainOptions::race_train_fraction, nullptr, &rng, ctx));
   ADARTS_ASSIGN_OR_RETURN(CommitteeStageState committee,
                           CommitteeStage(race.report, labeled.labeled, ctx));
 
   // --- (3) Growth bookkeeping for AppendSeries: each cluster's label and
   // representative series, plus the surviving elites that warm-start the
-  // next race. Only the cluster path records it — exhaustive labeling has
-  // no clusters to assign new series against.
+  // next race.
   GrowthState growth;
-  if (options.use_cluster_labeling) {
-    growth.present = true;
-    const auto& cluster_lists = clusters.clustering.clusters;
-    growth.clusters.reserve(cluster_lists.size());
-    for (std::size_t k = 0; k < cluster_lists.size(); ++k) {
-      const std::vector<std::size_t>& members = cluster_lists[k];
-      if (members.empty()) continue;
-      ClusterGrowthState c;
-      c.label = labeled.labels.labels[members[0]];
-      c.member_count = members.size();
-      const std::vector<std::size_t>& reps =
-          labeled.labels.cluster_representatives[k];
-      c.representatives.reserve(reps.size());
-      for (std::size_t idx : reps) c.representatives.push_back(corpus[idx]);
-      growth.clusters.push_back(std::move(c));
-    }
-    growth.warm_start.elites = race.report.elites;
+  growth.present = true;
+  const auto& cluster_lists = clusters.clustering.clusters;
+  growth.clusters.reserve(cluster_lists.size());
+  for (std::size_t k = 0; k < cluster_lists.size(); ++k) {
+    const std::vector<std::size_t>& members = cluster_lists[k];
+    if (members.empty()) continue;
+    ClusterGrowthState c;
+    c.label = labeled.labels.labels[members[0]];
+    c.member_count = members.size();
+    const std::vector<std::size_t>& reps =
+        labeled.labels.cluster_representatives[k];
+    c.representatives.reserve(reps.size());
+    for (std::size_t idx : reps) c.representatives.push_back(corpus[idx]);
+    growth.clusters.push_back(std::move(c));
   }
+  growth.warm_start.elites = race.report.elites;
 
   Adarts engine(std::move(labeled.extractor), std::move(committee.recommender),
                 std::move(race.report), labeled.labels.algorithms,
@@ -127,8 +120,8 @@ Status Adarts::AppendSeries(const std::vector<ts::TimeSeries>& delta,
   if (!growth_.present) {
     return Status::FailedPrecondition(
         "AppendSeries requires growth state: the engine must come from "
-        "cluster-labeled Train (or a snapshot that persisted it), not "
-        "TrainFromLabeled, exhaustive labeling, or a pre-growth snapshot");
+        "Train (or a snapshot that persisted it), not TrainFromLabeled or a "
+        "pre-growth snapshot");
   }
   if (!options.labeling.algorithms.empty() &&
       options.labeling.algorithms != pool_) {
@@ -214,38 +207,15 @@ Status Adarts::AppendSeries(const std::vector<ts::TimeSeries>& delta,
     }
   }
 
-  // --- (3) Features for the delta only, masked exactly like training
-  // (forked Rngs in index order — bit-identical across thread counts).
+  // --- (3) Features for the delta only, masked exactly like training.
+  ADARTS_ASSIGN_OR_RETURN(
+      std::vector<la::Vector> delta_rows,
+      ExtractMaskedFeatures(delta, label_options, extractor_, &rng, ctx,
+                            "update.features_seconds"));
   ml::Dataset grown = training_data_;
-  {
-    StageTimer features_timer(&ctx.metrics(), "update.features_seconds");
-    std::vector<Rng> series_rngs = ExecContext::ForkRngs(&rng, delta.size());
-    std::vector<la::Vector> extracted(delta.size());
-    std::vector<Status> extract_status(delta.size());
-    ParallelFor(ctx, delta.size(), [&](std::size_t i) {
-      ts::TimeSeries masked = delta[i];
-      Status injected = ts::InjectPattern(label_options.pattern,
-                                          label_options.missing_fraction,
-                                          &series_rngs[i], &masked);
-      if (!injected.ok()) {
-        extract_status[i] = std::move(injected);
-        return;
-      }
-      Result<la::Vector> f = extractor_.Extract(masked);
-      if (!f.ok()) {
-        extract_status[i] = f.status();
-        return;
-      }
-      extracted[i] = std::move(*f);
-    });
-    ADARTS_RETURN_NOT_OK(ctx.CheckCancelled("AppendSeries features"));
-    for (const Status& s : extract_status) {
-      ADARTS_RETURN_NOT_OK(s);
-    }
-    for (std::size_t i = 0; i < delta.size(); ++i) {
-      grown.features.push_back(std::move(extracted[i]));
-      grown.labels.push_back(delta_labels[i]);
-    }
+  for (std::size_t i = 0; i < delta.size(); ++i) {
+    grown.features.push_back(std::move(delta_rows[i]));
+    grown.labels.push_back(delta_labels[i]);
   }
 
   // --- (4) Re-race over the grown dataset, warm-started from the engine's
@@ -256,8 +226,8 @@ Status Adarts::AppendSeries(const std::vector<ts::TimeSeries>& delta,
                                                         : nullptr;
   ADARTS_ASSIGN_OR_RETURN(
       RaceStageState race,
-      RaceStage(grown, options.race, options.race_train_fraction, warm, &rng,
-                ctx, "update.race_seconds"));
+      RaceStage(grown, options.race, TrainOptions::race_train_fraction, warm,
+                &rng, ctx, "update.race_seconds"));
   std::uint64_t warm_hits = 0;
   if (warm != nullptr) {
     for (const automl::RacedPipeline& elite : race.report.elites) {
@@ -298,14 +268,14 @@ Result<Adarts> Adarts::TrainFromLabeled(
     return Status::InvalidArgument("pool size != num_classes");
   }
   Rng rng(seed);
-  ADARTS_ASSIGN_OR_RETURN(ml::TrainTestSplit split,
-                          ml::StratifiedSplit(labeled, 0.9, &rng));
+  ADARTS_ASSIGN_OR_RETURN(
+      ml::TrainTestSplit split,
+      ml::StratifiedSplit(labeled, TrainOptions::race_train_fraction, &rng));
   automl::ModelRaceReport report;
   {
     StageTimer race_timer(&ctx.metrics(), "train.race_seconds");
     ADARTS_ASSIGN_OR_RETURN(
-        report, automl::RunModelRace(split.train, split.test, race_options,
-                                     ctx));
+        report, automl::RunModelRace(split.train, race_options, ctx));
   }
   ADARTS_ASSIGN_OR_RETURN(
       automl::VotingRecommender recommender,

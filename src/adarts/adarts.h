@@ -21,16 +21,15 @@ namespace adarts {
 
 /// End-to-end training configuration for the A-DARTS engine.
 struct TrainOptions {
-  /// Label propagation via incremental clustering (fast path, the paper's
-  /// default) or exhaustive per-series labeling (ground truth).
-  bool use_cluster_labeling = true;
   cluster::IncrementalOptions clustering;
   labeling::LabelingOptions labeling;
   features::FeatureExtractorOptions features;
   automl::ModelRaceOptions race;
-  /// Fraction of the labeled data used as ModelRace's training side; the
-  /// rest is the race's evaluation set T (the paper trains on e.g. 80%).
-  double race_train_fraction = 0.9;
+  /// Fraction of the labeled rows, drawn stratified, that ModelRace races
+  /// on (Train, AppendSeries and TrainFromLabeled alike); the race scores
+  /// on its own folds and reads no other row. The committee then refits on
+  /// every labeled row.
+  static constexpr double race_train_fraction = 0.9;
   std::uint64_t seed = 17;
 };
 
@@ -52,7 +51,6 @@ struct UpdateOptions {
   /// to `ModelRaceOptions` defaults because the warm-started race refines
   /// known-good elites instead of exploring from scratch.
   automl::ModelRaceOptions race;
-  double race_train_fraction = 0.9;
   std::uint64_t seed = 17;
   /// Seed the re-race from the engine's surviving elites. Disable to force
   /// a cold race over the grown dataset (the bench's control arm).
@@ -81,9 +79,9 @@ struct ClusterGrowthState {
 /// Incremental-growth state persisted in the snapshot (optional blocks, see
 /// DESIGN.md §13): per-cluster representatives + labels, and the race
 /// elites (with fold scores) that warm-start the next `AppendSeries`.
-/// `present` is false for engines trained via `TrainFromLabeled`, via the
-/// exhaustive labeling path, or loaded from pre-growth snapshots — those
-/// engines reject `AppendSeries` with FailedPrecondition.
+/// `present` is false for engines trained via `TrainFromLabeled` or loaded
+/// from pre-growth snapshots — those engines reject `AppendSeries` with
+/// FailedPrecondition.
 struct GrowthState {
   std::vector<ClusterGrowthState> clusters;
   automl::RaceWarmStart warm_start;
@@ -162,8 +160,9 @@ class Adarts {
                               const TrainOptions& options, ExecContext& ctx);
 
   /// Trains the recommendation engine from an already-labeled dataset
-  /// (labels index `pool`). Used by the benches that control labeling.
-  /// Same context contract as `Train`.
+  /// (labels index `pool`). Used by the benches that control labeling,
+  /// e.g. with ground-truth labels from `labeling::LabelSeriesFull`. Same
+  /// context contract as `Train`.
   static Result<Adarts> TrainFromLabeled(
       const ml::Dataset& labeled, const std::vector<impute::Algorithm>& pool,
       const features::FeatureExtractorOptions& feature_options,
@@ -184,9 +183,8 @@ class Adarts {
   /// (`update.assigned`, `update.splits`, `update.race_warm_hits`). On
   /// failure the engine is unchanged: every mutation happens on copies
   /// committed only after the last fallible step. Requires growth state
-  /// (`has_growth_state()`) — engines from `TrainFromLabeled`, exhaustive
-  /// labeling, or pre-growth snapshots are rejected with
-  /// FailedPrecondition.
+  /// (`has_growth_state()`) — engines from `TrainFromLabeled` or
+  /// pre-growth snapshots are rejected with FailedPrecondition.
   Status AppendSeries(const std::vector<ts::TimeSeries>& delta,
                       const UpdateOptions& options, ExecContext& ctx);
 
@@ -336,8 +334,8 @@ class Adarts {
   TrainReport train_report_;
   std::vector<impute::Algorithm> pool_;
   ml::Dataset training_data_;
-  /// Incremental-growth bookkeeping; `present` only for cluster-labeled
-  /// Train engines and snapshots that persisted it.
+  /// Incremental-growth bookkeeping; `present` only for Train engines and
+  /// snapshots that persisted it.
   GrowthState growth_;
   /// Majority training label; computed in the constructor so Save/Load
   /// needs no bundle-format change. 0 when labels are absent.

@@ -24,56 +24,65 @@ Result<LabelStageState> LabelStage(const std::vector<ts::TimeSeries>& corpus,
                                    const cluster::Clustering* clustering,
                                    const TrainOptions& options, Rng* rng,
                                    ExecContext& ctx) {
+  if (clustering == nullptr) {
+    return Status::InvalidArgument("LabelStage needs the corpus clustering");
+  }
   LabelStageState state;
   {
     StageTimer labeling_timer(&ctx.metrics(), "train.labeling_seconds");
-    if (clustering != nullptr) {
-      ADARTS_ASSIGN_OR_RETURN(
-          state.labels, labeling::LabelByClusters(corpus, *clustering,
-                                                  options.labeling, ctx));
-    } else {
-      ADARTS_ASSIGN_OR_RETURN(
-          state.labels,
-          labeling::LabelSeriesFull(corpus, options.labeling, ctx));
-    }
+    ADARTS_ASSIGN_OR_RETURN(
+        state.labels,
+        labeling::LabelByClusters(corpus, *clustering, options.labeling, ctx));
   }
   ADARTS_RETURN_NOT_OK(ctx.CheckCancelled("LabelStage after labeling"));
 
-  // Feature extraction from faulty copies of the corpus. Each series masks
-  // with its own Rng, forked up front in index order on this thread, so the
-  // extracted features are bit-identical regardless of thread count.
   state.extractor = features::FeatureExtractor(options.features);
   state.labeled.num_classes = static_cast<int>(state.labels.algorithms.size());
   state.labeled.labels = state.labels.labels;
-  state.labeled.features.resize(corpus.size());
-  std::vector<Rng> series_rngs = ExecContext::ForkRngs(rng, corpus.size());
-  std::vector<Status> extract_status(corpus.size());
+  ADARTS_ASSIGN_OR_RETURN(
+      state.labeled.features,
+      ExtractMaskedFeatures(corpus, options.labeling, state.extractor, rng,
+                            ctx, "train.features_seconds"));
+  return state;
+}
+
+Result<std::vector<la::Vector>> ExtractMaskedFeatures(
+    const std::vector<ts::TimeSeries>& series,
+    const labeling::LabelingOptions& labeling,
+    const features::FeatureExtractor& extractor, Rng* rng, ExecContext& ctx,
+    const char* span_name) {
+  // Each series masks with its own Rng, forked up front in index order on
+  // this thread, so the extracted features are bit-identical regardless of
+  // thread count.
+  std::vector<Rng> series_rngs = ExecContext::ForkRngs(rng, series.size());
+  std::vector<la::Vector> rows(series.size());
+  std::vector<Status> extract_status(series.size());
   {
-    StageTimer features_timer(&ctx.metrics(), "train.features_seconds");
-    ParallelFor(ctx, corpus.size(), [&](std::size_t i) {
-      ts::TimeSeries masked = corpus[i];
-      Status injected = ts::InjectPattern(options.labeling.pattern,
-                                          options.labeling.missing_fraction,
-                                          &series_rngs[i], &masked);
+    StageTimer features_timer(&ctx.metrics(), span_name);
+    ParallelFor(ctx, series.size(), [&](std::size_t i) {
+      ts::TimeSeries masked = series[i];
+      Status injected =
+          ts::InjectPattern(labeling.pattern, labeling.missing_fraction,
+                            &series_rngs[i], &masked);
       if (!injected.ok()) {
         extract_status[i] = std::move(injected);
         return;
       }
-      Result<la::Vector> f = state.extractor.Extract(masked);
+      Result<la::Vector> f = extractor.Extract(masked);
       if (!f.ok()) {
         extract_status[i] = f.status();
         return;
       }
-      state.labeled.features[i] = std::move(*f);
+      rows[i] = std::move(*f);
     });
   }
-  // Cancellation skips iterations, leaving empty feature slots — bail out
-  // before the dataset is read.
-  ADARTS_RETURN_NOT_OK(ctx.CheckCancelled("LabelStage feature extraction"));
+  // Cancellation skips iterations, leaving empty rows: bail out before the
+  // rows are read.
+  ADARTS_RETURN_NOT_OK(ctx.CheckCancelled("masked feature extraction"));
   for (const Status& s : extract_status) {
     ADARTS_RETURN_NOT_OK(s);
   }
-  return state;
+  return rows;
 }
 
 Result<RaceStageState> RaceStage(const ml::Dataset& labeled,
@@ -89,15 +98,11 @@ Result<RaceStageState> RaceStage(const ml::Dataset& labeled,
       ml::StratifiedSplit(labeled, race_train_fraction, rng));
   RaceStageState state;
   StageTimer race_timer(&ctx.metrics(), span_name);
-  if (warm_start != nullptr && !warm_start->empty()) {
-    ADARTS_ASSIGN_OR_RETURN(
-        state.report, automl::RunModelRace(split.train, split.test, seeded,
-                                           *warm_start, ctx));
-  } else {
-    ADARTS_ASSIGN_OR_RETURN(
-        state.report,
-        automl::RunModelRace(split.train, split.test, seeded, ctx));
-  }
+  ADARTS_ASSIGN_OR_RETURN(
+      state.report,
+      warm_start != nullptr
+          ? automl::RunModelRace(split.train, seeded, ctx, *warm_start)
+          : automl::RunModelRace(split.train, seeded, ctx));
   return state;
 }
 

@@ -51,27 +51,41 @@ struct LabelStageState {
   features::FeatureExtractor extractor;
 };
 
-/// Labels the corpus — via cluster representatives when `clustering` is
-/// non-null, exhaustively otherwise — then extracts features from faulty
-/// copies of every series (inference sees incomplete series, so training
-/// features must too). Masking forks `rng` once per series in index order,
-/// so the dataset is bit-identical regardless of thread count. Spans:
+/// Labels the corpus via the representatives of `clustering` (which must be
+/// non-null: InvalidArgument otherwise), then extracts features from
+/// faulty copies of every series (inference sees incomplete series, so
+/// training features must too) through `ExtractMaskedFeatures`. Spans:
 /// `train.labeling_seconds` and `train.features_seconds`.
 Result<LabelStageState> LabelStage(const std::vector<ts::TimeSeries>& corpus,
                                    const cluster::Clustering* clustering,
                                    const TrainOptions& options, Rng* rng,
                                    ExecContext& ctx);
 
+/// Features of a masked copy of every series: each series is masked with
+/// `labeling`'s pattern and fraction under its own Rng, forked from `rng`
+/// up front in index order, then extracted by `extractor` on `ctx`'s pool.
+/// The rows are bit-identical for every thread count. Runs under the
+/// `span_name` span (`train.features_seconds` from LabelStage,
+/// `update.features_seconds` from AppendSeries) and returns the first
+/// masking or extraction error in index order, or the cancellation status.
+Result<std::vector<la::Vector>> ExtractMaskedFeatures(
+    const std::vector<ts::TimeSeries>& series,
+    const labeling::LabelingOptions& labeling,
+    const features::FeatureExtractor& extractor, Rng* rng, ExecContext& ctx,
+    const char* span_name);
+
 /// Output of the ModelRace phase.
 struct RaceStageState {
   automl::ModelRaceReport report;
 };
 
-/// Splits `labeled` (consuming `rng` for the race seed then the stratified
-/// split, in that order) and runs ModelRace under the `span_name` span
-/// (`train.race_seconds` from Train, `update.race_seconds` from
-/// AppendSeries). A non-null `warm_start` seeds the race with surviving
-/// elites from a previous run instead of a cold random population.
+/// Runs ModelRace on a stratified `race_train_fraction` subsample of
+/// `labeled` (consuming `rng` for the race seed then the subsample, in that
+/// order) under the `span_name` span (`train.race_seconds` from Train,
+/// `update.race_seconds` from AppendSeries). The rows left out of the
+/// subsample are not read. A non-null `warm_start` seeds the race with
+/// surviving elites from a previous run instead of a cold random
+/// population.
 Result<RaceStageState> RaceStage(const ml::Dataset& labeled,
                                  const automl::ModelRaceOptions& race_options,
                                  double race_train_fraction,

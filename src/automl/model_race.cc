@@ -103,16 +103,13 @@ void Refresh(RacedPipeline* rp) {
   rp->mean_score = num / den;
 }
 
-/// The shared race body. `warm_start` (nullable) seeds the elite set so the
-/// first iteration races incumbents + children instead of the seed grid;
-/// a null or empty warm start reproduces the cold race bit-for-bit.
-Result<ModelRaceReport> RunModelRaceImpl(const ml::Dataset& train,
-                                         const ml::Dataset& test,
-                                         const ModelRaceOptions& options,
-                                         const RaceWarmStart* warm_start,
-                                         ExecContext& ctx) {
+}  // namespace
+
+Result<ModelRaceReport> RunModelRace(const ml::Dataset& train,
+                                     const ModelRaceOptions& options,
+                                     ExecContext& ctx,
+                                     const RaceWarmStart& warm_start) {
   ADARTS_RETURN_NOT_OK(train.Validate());
-  ADARTS_RETURN_NOT_OK(test.Validate());
   if (options.num_partial_sets == 0 || options.num_folds < 2) {
     return Status::InvalidArgument("need >= 1 partial set and >= 2 folds");
   }
@@ -140,15 +137,13 @@ Result<ModelRaceReport> RunModelRaceImpl(const ml::Dataset& train,
       std::vector<ml::Dataset> partials,
       ml::GrowingPartialSets(train, options.num_partial_sets, &rng));
 
+  // Incumbents enter with their accumulated fold-score history; the
+  // max_survivors cap applies here too so a hand-assembled warm start
+  // cannot inflate the candidate pool beyond what the race would keep.
   std::vector<RacedPipeline> elites;
-  if (warm_start != nullptr && !warm_start->elites.empty()) {
-    // Incumbents enter with their accumulated fold-score history; the
-    // max_survivors cap applies here too so a hand-assembled warm start
-    // cannot inflate the candidate pool beyond what the race would keep.
-    for (const RacedPipeline& e : warm_start->elites) {
-      if (elites.size() >= options.max_survivors) break;
-      elites.push_back(e);
-    }
+  for (const RacedPipeline& e : warm_start.elites) {
+    if (elites.size() >= options.max_survivors) break;
+    elites.push_back(e);
   }
   std::size_t iterations_raced = 0;
 
@@ -397,23 +392,6 @@ Result<ModelRaceReport> RunModelRaceImpl(const ml::Dataset& train,
   metrics.Increment("race.pipelines_eliminated", report.eliminations.size());
   metrics.Increment("race.pipelines_timed_out", report.pipelines_timed_out);
   return report;
-}
-
-}  // namespace
-
-Result<ModelRaceReport> RunModelRace(const ml::Dataset& train,
-                                     const ml::Dataset& test,
-                                     const ModelRaceOptions& options,
-                                     ExecContext& ctx) {
-  return RunModelRaceImpl(train, test, options, nullptr, ctx);
-}
-
-Result<ModelRaceReport> RunModelRace(const ml::Dataset& train,
-                                     const ml::Dataset& test,
-                                     const ModelRaceOptions& options,
-                                     const RaceWarmStart& warm_start,
-                                     ExecContext& ctx) {
-  return RunModelRaceImpl(train, test, options, &warm_start, ctx);
 }
 
 }  // namespace adarts::automl

@@ -104,35 +104,31 @@ struct ModelRaceReport {
   double elapsed_seconds = 0.0;
 };
 
-/// Runs ModelRace: iterates over growing partial training sets, synthesizes
-/// children of the surviving elites, trains every candidate per stratified
-/// fold, scores with the weighted F1/R@3/runtime objective, early-terminates
-/// stragglers per fold, and prunes statistically redundant pipelines per
-/// iteration. `train` provides the partial sets; `test` is the fixed
-/// evaluation set T of Algorithm 1. Fold evaluations fan out on `ctx`'s
-/// shared pool, the context's cancellation token is polled between
-/// iterations and folds and inside the parallel evaluation loop, and
-/// `ctx`'s metrics gain the `race.total_seconds` span plus the
-/// `race.pipelines_evaluated` / `race.pipelines_eliminated` /
-/// `race.pipelines_timed_out` counters. Reports and elites are
-/// bit-identical for every thread count (timing fields aside); see the
-/// determinism contract in common/thread_pool.h.
+/// Runs ModelRace: iterates over growing partial training sets of `train`,
+/// synthesizes children of the surviving elites, trains every candidate per
+/// stratified fold, scores it on that fold's held-out rows with the weighted
+/// F1/R@3/runtime objective, early-terminates stragglers per fold, and
+/// prunes statistically redundant pipelines per iteration. The race reads
+/// no data besides `train`: every score comes from its own folds
+/// (DESIGN.md §3).
+///
+/// A non-empty `warm_start` initialises the elite set, so the first
+/// iteration races the incumbents plus their synthesized children instead
+/// of the full seed grid; with an empty warm start this is the cold race.
+/// The returned report's elites are the natural warm start for the *next*
+/// incremental race (Adarts::AppendSeries persists them in the snapshot).
+///
+/// Fold evaluations fan out on `ctx`'s shared pool, the context's
+/// cancellation token is polled between iterations and folds and inside the
+/// parallel evaluation loop, and `ctx`'s metrics gain the
+/// `race.total_seconds` span plus the `race.pipelines_evaluated` /
+/// `race.pipelines_eliminated` / `race.pipelines_timed_out` counters.
+/// Reports and elites are bit-identical for every thread count (timing
+/// fields aside); see the determinism contract in common/thread_pool.h.
 Result<ModelRaceReport> RunModelRace(const ml::Dataset& train,
-                                     const ml::Dataset& test,
                                      const ModelRaceOptions& options,
-                                     ExecContext& ctx);
-
-/// Warm-started variant: the race's elite set is initialised from
-/// `warm_start` instead of starting empty, so the first iteration synthesizes
-/// children of the incumbents rather than racing the full seed grid. With an
-/// empty warm start this is bit-identical to the cold overload. The returned
-/// report's elites are the natural warm start for the *next* incremental
-/// race (Adarts::AppendSeries persists them in the snapshot).
-Result<ModelRaceReport> RunModelRace(const ml::Dataset& train,
-                                     const ml::Dataset& test,
-                                     const ModelRaceOptions& options,
-                                     const RaceWarmStart& warm_start,
-                                     ExecContext& ctx);
+                                     ExecContext& ctx,
+                                     const RaceWarmStart& warm_start = {});
 
 }  // namespace adarts::automl
 

@@ -39,26 +39,6 @@ double PerturbParamValue(const ml::ParamSpec& spec, double current, Rng* rng) {
 
 }  // namespace
 
-std::size_t ApproximateSearchSpaceSize() {
-  // Discretising every continuous hyperparameter to ~12 levels and every
-  // integer to its range gives the per-classifier parameterisation count;
-  // multiplied by the scaler grid this approximates |P|.
-  std::size_t total = 0;
-  for (ml::ClassifierKind kind : ml::AllClassifierKinds()) {
-    std::size_t per_classifier = 1;
-    for (const ml::ParamSpec& spec : ml::ParamSpecsFor(kind)) {
-      const std::size_t levels =
-          spec.integer ? static_cast<std::size_t>(spec.max_value -
-                                                  spec.min_value + 1)
-                       : 12;
-      per_classifier *= levels;
-    }
-    total += per_classifier;
-  }
-  // Scaler grid: 5 plain scalers + PCA at 10 keep-fractions.
-  return total * (static_cast<std::size_t>(ml::kNumScalerKinds) - 1 + 10);
-}
-
 std::vector<Pipeline> Synthesizer::SeedPipelines(std::size_t count) {
   std::vector<Pipeline> seeds;
   const std::vector<ml::ClassifierKind> kinds = ml::AllClassifierKinds();

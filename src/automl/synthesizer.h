@@ -35,19 +35,12 @@ class Synthesizer {
   std::vector<Pipeline> Synthesize(const std::vector<Pipeline>& elites,
                                    std::size_t per_parent);
 
-  /// Total pipelines handed out so far (provides unique ids).
-  std::uint64_t issued() const { return next_id_; }
-
  private:
   std::uint64_t NextId() { return next_id_++; }
 
   Rng rng_;
   std::uint64_t next_id_ = 0;
 };
-
-/// Size of the full pipeline configuration space for the default grids —
-/// the "99'000 possible pipelines" scale quoted in Section V-A.
-std::size_t ApproximateSearchSpaceSize();
 
 }  // namespace adarts::automl
 

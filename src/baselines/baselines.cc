@@ -1,23 +1,12 @@
 #include "baselines/baselines.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace adarts::baselines {
 
 int ModelSelector::Recommend(const la::Vector& x) const {
   const la::Vector p = PredictProba(x);
   return static_cast<int>(std::max_element(p.begin(), p.end()) - p.begin());
-}
-
-std::vector<int> ModelSelector::Ranking(const la::Vector& x) const {
-  const la::Vector p = PredictProba(x);
-  std::vector<int> order(p.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return p[static_cast<std::size_t>(a)] > p[static_cast<std::size_t>(b)];
-  });
-  return order;
 }
 
 }  // namespace adarts::baselines

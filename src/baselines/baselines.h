@@ -33,7 +33,6 @@ class ModelSelector {
   virtual bool SupportsRanking() const { return true; }
 
   int Recommend(const la::Vector& x) const;
-  std::vector<int> Ranking(const la::Vector& x) const;
 };
 
 /// Search-budget knobs shared by the baselines, so the Fig. 8 runtime sweep

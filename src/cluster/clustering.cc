@@ -9,14 +9,6 @@
 
 namespace adarts::cluster {
 
-std::vector<std::size_t> Clustering::Assignments(std::size_t n) const {
-  std::vector<std::size_t> out(n, 0);
-  for (std::size_t c = 0; c < clusters.size(); ++c) {
-    for (std::size_t i : clusters[c]) out[i] = c;
-  }
-  return out;
-}
-
 std::pair<std::size_t, std::size_t> PairFromIndex(std::size_t k, std::size_t n) {
   ADARTS_CHECK(n >= 2 && k < n * (n - 1) / 2);
   // Pairs with row < r occupy the first Before(r) = r*(2n - r - 1)/2 linear

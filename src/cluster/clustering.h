@@ -20,9 +20,6 @@ struct Clustering {
   std::vector<std::vector<std::size_t>> clusters;
 
   std::size_t NumClusters() const { return clusters.size(); }
-
-  /// Inverse map: series index -> cluster id. `n` is the number of series.
-  std::vector<std::size_t> Assignments(std::size_t n) const;
 };
 
 /// Pairwise Pearson correlation matrix of a series set (symmetric, unit

@@ -18,16 +18,6 @@ bool CancellationToken::expired() const {
          std::chrono::steady_clock::now() >= state_->deadline;
 }
 
-double CancellationToken::RemainingSeconds() const {
-  if (cancel_requested()) return 0.0;
-  if (!state_->has_deadline) return std::numeric_limits<double>::infinity();
-  const double left =
-      std::chrono::duration<double>(state_->deadline -
-                                    std::chrono::steady_clock::now())
-          .count();
-  return left > 0.0 ? left : 0.0;
-}
-
 Status CancellationToken::Check(std::string_view what) const {
   if (cancel_requested()) {
     return Status::Cancelled(std::string(what) + " cancelled");

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -15,9 +14,8 @@ namespace adarts {
 /// Cooperative cancellation with an optional wall-clock deadline.
 ///
 /// A token is a cheap copyable handle to shared state: the caller keeps one
-/// copy (to `Cancel()` from another thread) and passes a pointer down
-/// through option structs (`TrainOptions::cancel`,
-/// `ModelRaceOptions::cancel`, `RecommendBatchOptions::cancel`). Long
+/// copy (to `Cancel()` from another thread) and hands a pointer to the
+/// `ExecContext` every engine call runs on (common/exec_context.h). Long
 /// phases poll `Check()` between units of work and return the resulting
 /// `kCancelled` / `kDeadlineExceeded` Status up the stack — nothing is
 /// preempted, no thread is killed, and partially-computed state never
@@ -49,9 +47,6 @@ class CancellationToken {
 
   /// True when cancelled or past the deadline — work should stop.
   bool expired() const;
-
-  /// Seconds left until the deadline (+inf without one, 0 when expired).
-  double RemainingSeconds() const;
 
   /// OK while work may continue; `kCancelled` / `kDeadlineExceeded`
   /// (mentioning `what`) once it should stop.

@@ -24,12 +24,6 @@ struct HistogramSnapshot {
   std::uint64_t p99_ns = 0;
 
   bool operator==(const HistogramSnapshot&) const = default;
-
-  /// Mean in nanoseconds; 0 when empty.
-  double MeanNs() const {
-    return count == 0 ? 0.0
-                      : static_cast<double>(sum_ns) / static_cast<double>(count);
-  }
 };
 
 /// A fixed-layout, log-bucketed latency histogram (HDR-style): values are

@@ -179,63 +179,6 @@ Result<EigenResult> ComputeSymmetricEigen(const Matrix& a, int max_sweeps) {
   return out;
 }
 
-Result<QrResult> ComputeQr(const Matrix& a) {
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  if (m < n) return Status::InvalidArgument("QR requires rows >= cols");
-
-  Matrix r = a;
-  // Accumulate Householder vectors, then form thin Q by applying them to the
-  // first n columns of the identity.
-  std::vector<Vector> householders;
-  householders.reserve(n);
-
-  for (std::size_t k = 0; k < n; ++k) {
-    double norm = 0.0;
-    for (std::size_t i = k; i < m; ++i) norm += r(i, k) * r(i, k);
-    norm = std::sqrt(norm);
-    if (norm == 0.0) {
-      householders.emplace_back();  // no-op reflector
-      continue;
-    }
-    const double alpha = r(k, k) >= 0.0 ? -norm : norm;
-    Vector v(m - k, 0.0);
-    v[0] = r(k, k) - alpha;
-    for (std::size_t i = k + 1; i < m; ++i) v[i - k] = r(i, k);
-    const double vnorm = Norm2(v);
-    if (vnorm > 0.0) {
-      for (double& x : v) x /= vnorm;
-    }
-    // Apply reflector to R: R <- (I - 2 v v^T) R on rows k..m.
-    for (std::size_t j = k; j < n; ++j) {
-      double dot = 0.0;
-      for (std::size_t i = k; i < m; ++i) dot += v[i - k] * r(i, j);
-      dot *= 2.0;
-      for (std::size_t i = k; i < m; ++i) r(i, j) -= dot * v[i - k];
-    }
-    householders.push_back(std::move(v));
-  }
-
-  // Thin Q: apply reflectors in reverse order to the m x n slice of I.
-  Matrix q(m, n);
-  for (std::size_t j = 0; j < n; ++j) q(j, j) = 1.0;
-  for (std::size_t kk = n; kk-- > 0;) {
-    const Vector& v = householders[kk];
-    if (v.empty()) continue;
-    for (std::size_t j = 0; j < n; ++j) {
-      double dot = 0.0;
-      for (std::size_t i = kk; i < m; ++i) dot += v[i - kk] * q(i, j);
-      dot *= 2.0;
-      for (std::size_t i = kk; i < m; ++i) q(i, j) -= dot * v[i - kk];
-    }
-  }
-
-  QrResult out;
-  out.q = std::move(q);
-  out.r = r.Block(0, 0, n, n);
-  return out;
-}
-
 Result<Vector> SolveLinear(const Matrix& a, const Vector& b) {
   const std::size_t n = a.rows();
   if (n == 0 || a.cols() != n || b.size() != n) {

@@ -32,16 +32,6 @@ struct EigenResult {
 Result<EigenResult> ComputeSymmetricEigen(const Matrix& a,
                                           int max_sweeps = 100);
 
-/// QR decomposition A = Q * R via Householder reflections (thin Q: m x n for
-/// m >= n).
-struct QrResult {
-  Matrix q;
-  Matrix r;
-};
-
-/// Computes the thin QR of `a` (requires rows >= cols).
-Result<QrResult> ComputeQr(const Matrix& a);
-
 /// Solves the square system A x = b by LU with partial pivoting.
 Result<Vector> SolveLinear(const Matrix& a, const Vector& b);
 

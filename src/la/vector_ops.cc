@@ -15,12 +15,6 @@ double Dot(const Vector& a, const Vector& b) {
 
 double Norm2(const Vector& a) { return std::sqrt(Dot(a, a)); }
 
-double Norm1(const Vector& a) {
-  double s = 0.0;
-  for (double v : a) s += std::fabs(v);
-  return s;
-}
-
 void Axpy(double alpha, const Vector& x, Vector* y) {
   ADARTS_CHECK(x.size() == y->size());
   for (std::size_t i = 0; i < x.size(); ++i) (*y)[i] += alpha * x[i];

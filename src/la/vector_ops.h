@@ -15,9 +15,6 @@ double Dot(const Vector& a, const Vector& b);
 /// Euclidean (L2) norm.
 double Norm2(const Vector& a);
 
-/// L1 norm (sum of absolute values).
-double Norm1(const Vector& a);
-
 /// y += alpha * x. Requires equal lengths.
 void Axpy(double alpha, const Vector& x, Vector* y);
 

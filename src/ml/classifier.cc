@@ -172,20 +172,4 @@ int Classifier::Predict(const la::Vector& x) const {
       std::max_element(probs.begin(), probs.end()) - probs.begin());
 }
 
-std::vector<int> Classifier::PredictBatch(
-    const std::vector<la::Vector>& x) const {
-  std::vector<int> out;
-  out.reserve(x.size());
-  for (const auto& v : x) out.push_back(Predict(v));
-  return out;
-}
-
-std::vector<la::Vector> Classifier::PredictProbaBatch(
-    const std::vector<la::Vector>& x) const {
-  std::vector<la::Vector> out;
-  out.reserve(x.size());
-  for (const auto& v : x) out.push_back(PredictProba(v));
-  return out;
-}
-
 }  // namespace adarts::ml

@@ -76,11 +76,6 @@ class Classifier {
 
   /// Argmax class for one sample.
   int Predict(const la::Vector& x) const;
-
-  /// Batch helpers.
-  std::vector<int> PredictBatch(const std::vector<la::Vector>& x) const;
-  std::vector<la::Vector> PredictProbaBatch(
-      const std::vector<la::Vector>& x) const;
 };
 
 /// Instantiates a classifier of `kind` with `params` (resolved against the

@@ -9,12 +9,16 @@ namespace adarts::ml {
 
 namespace {
 
+/// Quantile-midpoint thresholds examined per feature in exact mode.
+constexpr std::size_t kThresholdCandidates = 16;
+
 /// Candidate split thresholds for one feature over the given rows: either
-/// quantile midpoints (exact mode) or one uniform random draw (extra-trees).
+/// up to `kThresholdCandidates` quantile midpoints (exact mode) or one
+/// uniform random draw (extra-trees).
 la::Vector CandidateThresholds(const std::vector<la::Vector>& x,
                                const std::vector<std::size_t>& rows,
-                               std::size_t feature, std::size_t max_candidates,
-                               bool random_mode, Rng* rng) {
+                               std::size_t feature, bool random_mode,
+                               Rng* rng) {
   double lo = std::numeric_limits<double>::infinity();
   double hi = -std::numeric_limits<double>::infinity();
   for (std::size_t r : rows) {
@@ -30,7 +34,8 @@ la::Vector CandidateThresholds(const std::vector<la::Vector>& x,
   for (std::size_t r : rows) values.push_back(x[r][feature]);
   std::sort(values.begin(), values.end());
   la::Vector out;
-  const std::size_t steps = std::min(max_candidates, values.size() - 1);
+  const std::size_t steps =
+      std::min(kThresholdCandidates, values.size() - 1);
   for (std::size_t s = 1; s <= steps; ++s) {
     const std::size_t idx = s * (values.size() - 1) / (steps + 1) + 1;
     const double t = 0.5 * (values[idx - 1] + values[idx]);
@@ -120,8 +125,7 @@ int ClassificationTree::Build(const Dataset& data,
   for (std::size_t f :
        SampleFeatures(data.dim(), options_.feature_fraction, rng)) {
     const la::Vector thresholds = CandidateThresholds(
-        data.features, rows, f, options_.threshold_candidates,
-        options_.random_thresholds, rng);
+        data.features, rows, f, options_.random_thresholds, rng);
     for (double t : thresholds) {
       la::Vector left_counts(static_cast<std::size_t>(num_classes_), 0.0);
       double left_total = 0.0;
@@ -244,8 +248,7 @@ int RegressionTree::Build(const std::vector<la::Vector>& x,
   for (std::size_t f :
        SampleFeatures(x[0].size(), options_.feature_fraction, rng)) {
     const la::Vector thresholds =
-        CandidateThresholds(x, rows, f, options_.threshold_candidates,
-                            options_.random_thresholds, rng);
+        CandidateThresholds(x, rows, f, options_.random_thresholds, rng);
     for (double t : thresholds) {
       double lsum = 0.0, lsq = 0.0;
       std::size_t ln = 0;

@@ -20,8 +20,6 @@ struct TreeOptions {
   /// Extra-trees mode: pick one random threshold per feature instead of the
   /// best of the candidate thresholds.
   bool random_thresholds = false;
-  /// Number of candidate thresholds per feature in exact mode.
-  std::size_t threshold_candidates = 16;
   std::uint64_t seed = 1;
 };
 

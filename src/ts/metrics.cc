@@ -32,19 +32,6 @@ Result<double> ImputationRmse(const TimeSeries& truth_with_mask,
   return std::sqrt(se / static_cast<double>(n));
 }
 
-Result<double> ImputationMae(const TimeSeries& truth_with_mask,
-                             const TimeSeries& imputed) {
-  ADARTS_RETURN_NOT_OK(CheckAligned(truth_with_mask, imputed));
-  double ae = 0.0;
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < truth_with_mask.length(); ++i) {
-    if (!truth_with_mask.IsMissing(i)) continue;
-    ae += std::fabs(truth_with_mask.value(i) - imputed.value(i));
-    ++n;
-  }
-  return ae / static_cast<double>(n);
-}
-
 Result<double> Smape(const la::Vector& actual, const la::Vector& forecast) {
   if (actual.size() != forecast.size() || actual.empty()) {
     return Status::InvalidArgument("sMAPE requires equal non-empty vectors");

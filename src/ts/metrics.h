@@ -12,10 +12,6 @@ namespace adarts::ts {
 Result<double> ImputationRmse(const TimeSeries& truth_with_mask,
                               const TimeSeries& imputed);
 
-/// Mean absolute error at masked positions.
-Result<double> ImputationMae(const TimeSeries& truth_with_mask,
-                             const TimeSeries& imputed);
-
 /// Symmetric mean absolute percentage error between a forecast and actuals
 /// (Fig. 12 downstream metric): mean of 2|f - a| / (|f| + |a|).
 Result<double> Smape(const la::Vector& actual, const la::Vector& forecast);

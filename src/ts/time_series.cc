@@ -57,12 +57,6 @@ std::vector<std::size_t> TimeSeries::MissingIndices() const {
   return out;
 }
 
-TimeSeries TimeSeries::WithoutMask() const {
-  TimeSeries out(values_);
-  out.name_ = name_;
-  return out;
-}
-
 double TimeSeries::ObservedMean() const {
   return la::Mean(ObservedValues());
 }

@@ -62,9 +62,6 @@ class TimeSeries {
   /// Indices of missing positions, ascending.
   std::vector<std::size_t> MissingIndices() const;
 
-  /// Copy with all positions marked observed (mask cleared).
-  TimeSeries WithoutMask() const;
-
   /// Mean / stddev over observed positions only.
   double ObservedMean() const;
   double ObservedStdDev() const;

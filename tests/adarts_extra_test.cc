@@ -47,16 +47,6 @@ TrainOptions TinyTrainOptions() {
   return opts;
 }
 
-TEST(AdartsTrainPathsTest, ExhaustiveLabelingPathWorks) {
-  TrainOptions opts = TinyTrainOptions();
-  opts.use_cluster_labeling = false;  // LabelSeriesFull path
-  ExecContext ctx;
-  auto engine = Adarts::Train(TinyCorpus(), opts, ctx);
-  ASSERT_TRUE(engine.ok()) << engine.status();
-  EXPECT_GE(engine->committee_size(), 1u);
-  EXPECT_EQ(engine->training_data().size(), TinyCorpus().size());
-}
-
 TEST(AdartsTrainPathsTest, TrainingDataRetainedAndValid) {
   ExecContext ctx;
   auto engine = Adarts::Train(TinyCorpus(), TinyTrainOptions(), ctx);
@@ -87,7 +77,6 @@ TEST(AdartsTrainPathsTest, CustomFeatureOptionsPropagate) {
 
 TEST(ModelRaceOptionsTest, MaxSurvivorsCapIsRespected) {
   const ml::Dataset train = MakeBlobs(3, 40, 4, 51);
-  const ml::Dataset test = MakeBlobs(3, 15, 4, 52);
   automl::ModelRaceOptions opts;
   opts.num_seed_pipelines = 24;
   opts.max_survivors = 3;
@@ -96,22 +85,21 @@ TEST(ModelRaceOptionsTest, MaxSurvivorsCapIsRespected) {
   opts.ttest_worse_pvalue = 0.0;
   opts.ttest_similarity_pvalue = 1.1;
   ExecContext ctx;
-  auto report = automl::RunModelRace(train, test, opts, ctx);
+  auto report = automl::RunModelRace(train, opts, ctx);
   ASSERT_TRUE(report.ok());
   EXPECT_LE(report->elites.size(), 3u);
 }
 
 TEST(ModelRaceOptionsTest, TinyEarlyTerminationMarginPrunesAggressively) {
   const ml::Dataset train = MakeBlobs(3, 40, 4, 53);
-  const ml::Dataset test = MakeBlobs(3, 15, 4, 54);
   automl::ModelRaceOptions loose;
   loose.num_seed_pipelines = 20;
   loose.early_termination_margin = 1e9;
   automl::ModelRaceOptions tight = loose;
   tight.early_termination_margin = 0.02;
   ExecContext ctx;
-  auto loose_report = automl::RunModelRace(train, test, loose, ctx);
-  auto tight_report = automl::RunModelRace(train, test, tight, ctx);
+  auto loose_report = automl::RunModelRace(train, loose, ctx);
+  auto tight_report = automl::RunModelRace(train, tight, ctx);
   ASSERT_TRUE(loose_report.ok());
   ASSERT_TRUE(tight_report.ok());
   EXPECT_GT(tight_report->pipelines_pruned_early,
@@ -127,7 +115,7 @@ TEST(ModelRaceOptionsTest, ScoreCoefficientsAllZeroTimeStillRuns) {
   opts.num_partial_sets = 2;
   opts.gamma = 0.0;  // pure-effectiveness scoring
   ExecContext ctx;
-  auto report = automl::RunModelRace(train, train, opts, ctx);
+  auto report = automl::RunModelRace(train, opts, ctx);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->elites.empty());
 }

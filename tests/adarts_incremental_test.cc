@@ -284,12 +284,15 @@ TEST(AdartsIncrementalTest, AppendedEngineSnapshotRoundTrips) {
 
 TEST(AdartsIncrementalTest, EngineWithoutGrowthStateRejectsAppend) {
   std::vector<ts::TimeSeries> delta;
-  std::vector<ts::TimeSeries> corpus;
-  BuildCorpusAndDelta(36, 4, 77, &corpus, &delta);
-  TrainOptions options = BlockTrainOptions(77);
-  options.use_cluster_labeling = false;  // exhaustive path: no growth state
+  auto trained = TrainBase(77, &delta);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  // The same labeled rows through TrainFromLabeled: the engine has no
+  // clusters to assign new series to.
   ExecContext ctx;
-  auto engine = Adarts::Train(corpus, options, ctx);
+  auto engine = Adarts::TrainFromLabeled(
+      trained->training_data(), trained->algorithm_pool(),
+      trained->feature_extractor().options(), BlockTrainOptions(77).race, 77,
+      ctx);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_FALSE(engine->has_growth_state());
   const Status st = engine->AppendSeries(delta, {}, ctx);

@@ -1,6 +1,5 @@
 #include <functional>
 #include <ostream>
-#include <set>
 
 #include <gtest/gtest.h>
 
@@ -53,18 +52,6 @@ TEST_P(BaselineContractTest, TrainsAndPredictsOnSeparableData) {
 TEST_P(BaselineContractTest, RankingSupportMatchesTableOne) {
   auto selector = GetParam().factory({});
   EXPECT_EQ(selector->SupportsRanking(), GetParam().supports_ranking);
-}
-
-TEST_P(BaselineContractTest, RankingIsValidPermutation) {
-  BaselineOptions opts;
-  opts.num_configurations = 8;
-  auto selector = GetParam().factory(opts);
-  const ml::Dataset train = MakeBlobs(3, 25, 3, 33);
-  ASSERT_TRUE(selector->Train(train).ok());
-  const auto ranking = selector->Ranking(train.features[0]);
-  EXPECT_EQ(ranking.size(), 3u);
-  std::set<int> unique(ranking.begin(), ranking.end());
-  EXPECT_EQ(unique.size(), 3u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

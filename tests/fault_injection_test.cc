@@ -324,11 +324,9 @@ TEST(CancellationTest, TokenReportsCancelAndDeadline) {
   CancellationToken expired = CancellationToken::WithDeadline(0.0);
   EXPECT_TRUE(expired.expired());
   EXPECT_EQ(expired.Check("work").code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(expired.RemainingSeconds(), 0.0);
 
   CancellationToken generous = CancellationToken::WithDeadline(3600.0);
   EXPECT_FALSE(generous.expired());
-  EXPECT_GT(generous.RemainingSeconds(), 0.0);
 }
 
 TEST(CancellationTest, ParallelForSkipsWorkOnExpiredToken) {
@@ -379,14 +377,13 @@ TEST(CancellationTest, PreCancelledBatchFillsEverySlotWithCancelled) {
 
 TEST(ModelRaceBudgetTest, ImpossibleBudgetTimesEveryPipelineOut) {
   ml::Dataset train = testing::MakeBlobs(3, 12, 4, 11);
-  ml::Dataset test = testing::MakeBlobs(3, 4, 4, 12);
   automl::ModelRaceOptions options;
   options.num_seed_pipelines = 8;
   options.num_partial_sets = 2;
   options.num_folds = 2;
   options.candidate_budget_seconds = 1e-12;  // nothing can fit this fast
   ExecContext ctx(1);
-  auto report = automl::RunModelRace(train, test, options, ctx);
+  auto report = automl::RunModelRace(train, options, ctx);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(report.status().message().find("candidate budget"),
@@ -395,7 +392,6 @@ TEST(ModelRaceBudgetTest, ImpossibleBudgetTimesEveryPipelineOut) {
 
 TEST(ModelRaceBudgetTest, GenerousBudgetMatchesNoBudgetBitForBit) {
   ml::Dataset train = testing::MakeBlobs(3, 12, 4, 21);
-  ml::Dataset test = testing::MakeBlobs(3, 4, 4, 22);
   automl::ModelRaceOptions options;
   options.num_seed_pipelines = 8;
   options.num_partial_sets = 2;
@@ -404,11 +400,11 @@ TEST(ModelRaceBudgetTest, GenerousBudgetMatchesNoBudgetBitForBit) {
   // threading_test) — with it, no two runs are comparable bit-for-bit.
   options.gamma = 0.0;
   ExecContext baseline_ctx(1);
-  auto baseline = automl::RunModelRace(train, test, options, baseline_ctx);
+  auto baseline = automl::RunModelRace(train, options, baseline_ctx);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
   options.candidate_budget_seconds = 1e9;  // enabled but unreachable
   ExecContext budgeted_ctx(1);
-  auto budgeted = automl::RunModelRace(train, test, options, budgeted_ctx);
+  auto budgeted = automl::RunModelRace(train, options, budgeted_ctx);
   ASSERT_TRUE(budgeted.ok()) << budgeted.status();
   EXPECT_EQ(budgeted->pipelines_timed_out, 0u);
   ASSERT_EQ(budgeted->elites.size(), baseline->elites.size());
@@ -426,13 +422,12 @@ TEST(ModelRaceBudgetTest, GenerousBudgetMatchesNoBudgetBitForBit) {
 
 TEST(ModelRaceBudgetTest, EliminationsRecordReasons) {
   ml::Dataset train = testing::MakeBlobs(3, 12, 4, 31);
-  ml::Dataset test = testing::MakeBlobs(3, 4, 4, 32);
   automl::ModelRaceOptions options;
   options.num_seed_pipelines = 12;
   options.num_partial_sets = 2;
   options.num_folds = 2;
   ExecContext ctx(1);
-  auto report = automl::RunModelRace(train, test, options, ctx);
+  auto report = automl::RunModelRace(train, options, ctx);
   ASSERT_TRUE(report.ok()) << report.status();
   // Every counted elimination appears in the reason log and vice versa.
   std::size_t early = 0;

@@ -390,14 +390,13 @@ TEST(ParallelPropertyTest, CorrelationMatrixSymmetricUnitDiagonalOnRandomCorpora
 
 TEST(ParallelPropertyTest, ParallelFromRaceCommitteesVoteIdenticallyToSerial) {
   const ml::Dataset train = MakeBlobs(3, 25, 5, 91);
-  const ml::Dataset test = MakeBlobs(3, 8, 5, 92);
   automl::ModelRaceOptions race;
   race.num_seed_pipelines = 12;
   race.num_partial_sets = 2;
   race.num_folds = 2;
   race.seed = 93;
   ExecContext ctx;
-  auto report = automl::RunModelRace(train, test, race, ctx);
+  auto report = automl::RunModelRace(train, race, ctx);
   ASSERT_TRUE(report.ok()) << report.status();
 
   ExecContext serial_ctx(1);

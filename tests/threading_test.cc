@@ -110,14 +110,13 @@ automl::ModelRaceOptions DeterministicRaceOptions() {
 
 TEST(ThreadDeterminismTest, ModelRaceReportsAreIdenticalFor1And4Threads) {
   const ml::Dataset train = MakeBlobs(3, 30, 6);
-  const ml::Dataset test = MakeBlobs(3, 8, 6, /*seed=*/4);
 
   const automl::ModelRaceOptions options = DeterministicRaceOptions();
   ExecContext serial_ctx(1);
   ExecContext parallel_ctx(4);
 
-  auto a = automl::RunModelRace(train, test, options, serial_ctx);
-  auto b = automl::RunModelRace(train, test, options, parallel_ctx);
+  auto a = automl::RunModelRace(train, options, serial_ctx);
+  auto b = automl::RunModelRace(train, options, parallel_ctx);
   ASSERT_TRUE(a.ok()) << a.status();
   ASSERT_TRUE(b.ok()) << b.status();
 
@@ -148,8 +147,6 @@ TEST(ThreadDeterminismTest, TrainRecommendationsAreIdenticalFor1And4Threads) {
   }
 
   TrainOptions opts;
-  // Exhaustive labeling exercises the parallel labeling path as well.
-  opts.use_cluster_labeling = false;
   opts.labeling.algorithms = {impute::Algorithm::kCdRec,
                               impute::Algorithm::kSvdImpute,
                               impute::Algorithm::kLinearInterp};
