@@ -90,6 +90,9 @@ Result<Clustering> KShapeClustering(const std::vector<ts::TimeSeries>& series,
       return Status::InvalidArgument("k-shape requires equal-length series");
     }
   }
+  if (len == 0) {
+    return Status::InvalidArgument("k-shape requires non-empty series");
+  }
 
   // Every alignment is centroid against member, both of length `len`, so
   // all spectra share one size. A centroid's spectrum is computed when the

@@ -19,7 +19,8 @@ struct KShapeOptions {
 /// Shape-based clustering: assigns series to the centroid with minimal
 /// shape-based distance (1 - max NCC_c) and re-extracts centroids by power
 /// iteration on the aligned, centred Gram operator. Each alignment costs one
-/// spectrum product and one inverse FFT.
+/// spectrum product and one inverse FFT. The series must share one non-zero
+/// length (InvalidArgument otherwise).
 Result<Clustering> KShapeClustering(const std::vector<ts::TimeSeries>& series,
                                     const KShapeOptions& options = {});
 
