@@ -18,6 +18,7 @@
 namespace adarts {
 namespace {
 
+using testing::BytesFnv;
 using testing::FastOptions;
 using testing::SmallCorpus;
 
@@ -182,11 +183,6 @@ struct TrainingDigest {
   /// One comma-joined `RecommendEx` ranking per probe.
   std::vector<std::string> rankings;
 };
-
-std::uint64_t BytesFnv(const std::vector<double>& v) {
-  return Fnv1a64(std::string_view(reinterpret_cast<const char*>(v.data()),
-                                  v.size() * sizeof(double)));
-}
 
 TrainingDigest DigestOf(const Adarts& engine,
                         const std::vector<ts::TimeSeries>& probes) {

@@ -1,9 +1,11 @@
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "data/generators.h"
 #include "features/coverage.h"
 #include "features/feature_extractor.h"
 #include "tests/test_util.h"
@@ -160,6 +162,29 @@ TEST(FeatureExtractorTest, BatchMatchesIndividualExtraction) {
   ASSERT_EQ(batch->size(), 2u);
   EXPECT_EQ((*batch)[0], fe.Extract(set[0]).value());
   EXPECT_EQ((*batch)[1], fe.Extract(set[1]).value());
+}
+
+TEST(FeatureExtractorTest, GoldenDigestPerCategory) {
+  // FNV-1a over the raw bytes of the default extractor's vector for one
+  // masked series per category, recorded from the reference extractor.
+  const std::uint64_t kGolden[data::kNumCategories] = {
+      0x5c5a7d1039ef8460ULL, 0xdcbf822d48eb23cfULL, 0x0b1cff3e065f310aULL,
+      0xf947e96692a01d46ULL, 0x03d7448344e38cd0ULL, 0xe01a2c5b81b0df78ULL};
+  const FeatureExtractor fe{FeatureExtractorOptions{}};
+  data::GeneratorOptions gopts;
+  gopts.num_series = 1;
+  gopts.length = 192;
+  Rng rng(11);
+  for (data::Category c : data::AllCategories()) {
+    ts::TimeSeries s = data::GenerateCategory(c, gopts)[0];
+    ASSERT_TRUE(
+        ts::InjectPattern(ts::MissingPattern::kSingleBlock, 0.1, &rng, &s)
+            .ok());
+    auto f = fe.Extract(s);
+    ASSERT_TRUE(f.ok()) << f.status();
+    EXPECT_EQ(adarts::testing::BytesFnv(*f), kGolden[static_cast<int>(c)])
+        << data::CategoryToString(c);
+  }
 }
 
 TEST(CoverageTest, SingleDatasetFullCoverageOfItsRange) {

@@ -1,8 +1,10 @@
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "tda/delay_embedding.h"
 #include "tda/diagram_stats.h"
 #include "tda/persistence.h"
@@ -128,6 +130,30 @@ TEST(PersistenceTest, LineSegmentHasNoLoop) {
 
 TEST(PersistenceTest, RejectsDegenerateInput) {
   EXPECT_FALSE(ComputeRipsPersistence({{1.0, 2.0}}).ok());
+}
+
+TEST(PersistenceTest, GoldenDiagramsOfSeededClouds) {
+  // FNV-1a over the (dimension, birth, death) list of each diagram of five
+  // seeded clouds of 24 points in R^3, recorded from the reference reducer.
+  const std::uint64_t kGolden[] = {
+      0xb64e7b053b6abeffULL, 0x55d4b1b39b9f71b9ULL, 0xea7ccc01ae84af27ULL,
+      0x07465376b6f26c88ULL, 0x4b87a1cbcb0cf62dULL};
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    PointCloud cloud(24);
+    for (la::Vector& p : cloud) {
+      p = {rng.Normal(0, 1), rng.Normal(0, 1), rng.Normal(0, 1)};
+    }
+    auto diagram = ComputeRipsPersistence(cloud);
+    ASSERT_TRUE(diagram.ok()) << diagram.status();
+    std::vector<double> flat;
+    for (const PersistencePair& p : diagram->pairs) {
+      flat.insert(flat.end(),
+                  {static_cast<double>(p.dimension), p.birth, p.death});
+    }
+    EXPECT_EQ(adarts::testing::BytesFnv(flat), kGolden[seed - 1])
+        << "seed " << seed;
+  }
 }
 
 TEST(DiagramStatsTest, ComputedFromKnownPairs) {

@@ -2,7 +2,9 @@
 #define ADARTS_TESTS_TEST_UTIL_H_
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <string_view>
 #include <vector>
 
 #include "adarts/adarts.h"
@@ -25,6 +27,13 @@ inline std::size_t TestThreadCount(std::size_t fallback = 4) {
   const unsigned long parsed = std::strtoul(env, &end, 10);
   if (end == env || parsed == 0) return fallback;
   return static_cast<std::size_t>(parsed);
+}
+
+/// FNV-1a digest over the raw bytes of `v`: equal digests mean bit-identical
+/// doubles, which is what the golden tests pin.
+inline std::uint64_t BytesFnv(const std::vector<double>& v) {
+  return Fnv1a64(std::string_view(reinterpret_cast<const char*>(v.data()),
+                                  v.size() * sizeof(double)));
 }
 
 /// A well-separated Gaussian-blob classification dataset: class c is
