@@ -94,33 +94,25 @@ Result<CentroidDecomposition> ComputeCentroidDecomposition(const la::Matrix& x,
   return cd;
 }
 
-Result<std::vector<ts::TimeSeries>> CdRecImputer::ImputeSetWithDiagnostics(
+Result<std::vector<ts::TimeSeries>> CdRecImputer::Fit(
     const std::vector<ts::TimeSeries>& set, FitDiagnostics* diagnostics) const {
   ADARTS_FAILPOINT("impute.cdrec.fit");
   ADARTS_ASSIGN_OR_RETURN(MaskedMatrix m, BuildMaskedMatrix(set));
   la::Matrix x = m.values;
   const std::size_t rank =
       std::min<std::size_t>(rank_, std::min(x.rows(), x.cols()));
-  FitDiagnostics diag;
-  diag.converged = false;
-  for (int it = 0; it < max_iters_; ++it) {
+  const auto step = [&]() -> Result<double> {
     ADARTS_ASSIGN_OR_RETURN(CentroidDecomposition cd,
                             ComputeCentroidDecomposition(x, rank));
     la::Matrix recon = cd.loadings.Multiply(cd.relevance.Transpose());
     RestoreObserved(m, &recon);
     const double change = RelativeChange(recon, x);
     x = std::move(recon);
-    diag.iterations = it + 1;
-    diag.final_change = change;
-    if (change < tol_) {
-      diag.converged = true;
-      break;
-    }
-  }
-  if (diagnostics != nullptr) *diagnostics = diag;
-  MaskedMatrix repaired = m;
-  repaired.values = std::move(x);
-  return MatrixToSeries(repaired, set);
+    return change;
+  };
+  ADARTS_RETURN_NOT_OK(
+      IterateUntilConverged(max_iters_, tol_, diagnostics, step));
+  return MatrixToSeries(x, set);
 }
 
 }  // namespace adarts::impute

@@ -10,7 +10,7 @@
 
 namespace adarts::impute {
 
-Result<std::vector<ts::TimeSeries>> TrmfImputer::ImputeSetWithDiagnostics(
+Result<std::vector<ts::TimeSeries>> TrmfImputer::Fit(
     const std::vector<ts::TimeSeries>& set, FitDiagnostics* diagnostics) const {
   ADARTS_FAILPOINT("impute.trmf.fit");
   ADARTS_ASSIGN_OR_RETURN(MaskedMatrix m, BuildMaskedMatrix(set));
@@ -44,9 +44,7 @@ Result<std::vector<ts::TimeSeries>> TrmfImputer::ImputeSetWithDiagnostics(
   }
 
   la::Matrix prev_recon = m.values;
-  FitDiagnostics diag;
-  diag.converged = false;
-  for (int it = 0; it < max_iters_; ++it) {
+  const auto step = [&]() -> Result<double> {
     // --- Update G: per-series ridge regression on observed rows.
     for (std::size_t j = 0; j < n; ++j) {
       la::Matrix ata(k, k);
@@ -112,22 +110,14 @@ Result<std::vector<ts::TimeSeries>> TrmfImputer::ImputeSetWithDiagnostics(
     la::Matrix recon = f.Multiply(g.Transpose());
     const double change = RelativeChange(recon, prev_recon);
     prev_recon = std::move(recon);
-    diag.iterations = it + 1;
-    diag.final_change = change;
-    if (change < tol_) {
-      diag.converged = true;
-      break;
-    }
-  }
-  if (diagnostics != nullptr) *diagnostics = diag;
-
-  RestoreObserved(m, &prev_recon);
-  MaskedMatrix repaired = m;
-  repaired.values = std::move(prev_recon);
-  return MatrixToSeries(repaired, set);
+    return change;
+  };
+  ADARTS_RETURN_NOT_OK(
+      IterateUntilConverged(max_iters_, tol_, diagnostics, step));
+  return MatrixToSeries(prev_recon, set);
 }
 
-Result<std::vector<ts::TimeSeries>> TeNmfImputer::ImputeSetWithDiagnostics(
+Result<std::vector<ts::TimeSeries>> TeNmfImputer::Fit(
     const std::vector<ts::TimeSeries>& set, FitDiagnostics* diagnostics) const {
   ADARTS_FAILPOINT("impute.tenmf.fit");
   ADARTS_ASSIGN_OR_RETURN(MaskedMatrix m, BuildMaskedMatrix(set));
@@ -161,9 +151,7 @@ Result<std::vector<ts::TimeSeries>> TeNmfImputer::ImputeSetWithDiagnostics(
 
   constexpr double kEps = 1e-9;
   la::Matrix prev = x;
-  FitDiagnostics diag;
-  diag.converged = false;
-  for (int it = 0; it < max_iters_; ++it) {
+  const auto step = [&]() -> Result<double> {
     const la::Matrix wh = w.Multiply(h);
     // Mask-weighted multiplicative updates (observed entries only drive the
     // fit; missing entries carry the current reconstruction).
@@ -194,24 +182,17 @@ Result<std::vector<ts::TimeSeries>> TeNmfImputer::ImputeSetWithDiagnostics(
     const la::Matrix recon = w.Multiply(h);
     const double change = RelativeChange(recon, prev);
     prev = recon;
-    diag.iterations = it + 1;
-    diag.final_change = change;
-    if (change < tol_) {
-      diag.converged = true;
-      break;
-    }
-  }
-  if (diagnostics != nullptr) *diagnostics = diag;
+    return change;
+  };
+  ADARTS_RETURN_NOT_OK(
+      IterateUntilConverged(max_iters_, tol_, diagnostics, step));
 
-  // Shift back and restore observed values.
+  // Shift back; MatrixToSeries keeps the observed values.
   la::Matrix result(t_len, n);
   for (std::size_t t = 0; t < t_len; ++t) {
     for (std::size_t j = 0; j < n; ++j) result(t, j) = prev(t, j) - shift;
   }
-  RestoreObserved(m, &result);
-  MaskedMatrix repaired = m;
-  repaired.values = std::move(result);
-  return MatrixToSeries(repaired, set);
+  return MatrixToSeries(result, set);
 }
 
 }  // namespace adarts::impute

@@ -22,15 +22,12 @@ class TrmfImputer final : public Imputer {
         max_iters_(max_iters),
         tol_(tol) {}
   std::string_view name() const override { return "trmf"; }
-  Result<std::vector<ts::TimeSeries>> ImputeSet(
-      const std::vector<ts::TimeSeries>& set) const override {
-    return ImputeSetWithDiagnostics(set, nullptr);
-  }
-  Result<std::vector<ts::TimeSeries>> ImputeSetWithDiagnostics(
+
+ private:
+  Result<std::vector<ts::TimeSeries>> Fit(
       const std::vector<ts::TimeSeries>& set,
       FitDiagnostics* diagnostics) const override;
 
- private:
   std::size_t rank_;
   double lambda_temporal_;
   double lambda_ridge_;
@@ -47,15 +44,12 @@ class TeNmfImputer final : public Imputer {
                         double tol = 1e-5)
       : rank_(rank), max_iters_(max_iters), tol_(tol) {}
   std::string_view name() const override { return "tenmf"; }
-  Result<std::vector<ts::TimeSeries>> ImputeSet(
-      const std::vector<ts::TimeSeries>& set) const override {
-    return ImputeSetWithDiagnostics(set, nullptr);
-  }
-  Result<std::vector<ts::TimeSeries>> ImputeSetWithDiagnostics(
+
+ private:
+  Result<std::vector<ts::TimeSeries>> Fit(
       const std::vector<ts::TimeSeries>& set,
       FitDiagnostics* diagnostics) const override;
 
- private:
   std::size_t rank_;
   int max_iters_;
   double tol_;

@@ -62,6 +62,19 @@ std::vector<Algorithm> AllAlgorithms() {
   return out;
 }
 
+Result<std::vector<ts::TimeSeries>> Imputer::ImputeSet(
+    const std::vector<ts::TimeSeries>& set) const {
+  return ImputeSetWithDiagnostics(set, nullptr);
+}
+
+Result<std::vector<ts::TimeSeries>> Imputer::ImputeSetWithDiagnostics(
+    const std::vector<ts::TimeSeries>& set, FitDiagnostics* diagnostics) const {
+  FitDiagnostics report;
+  Result<std::vector<ts::TimeSeries>> repaired = Fit(set, &report);
+  if (repaired.ok() && diagnostics != nullptr) *diagnostics = report;
+  return repaired;
+}
+
 Result<ts::TimeSeries> Imputer::Impute(const ts::TimeSeries& series) const {
   ADARTS_ASSIGN_OR_RETURN(std::vector<ts::TimeSeries> repaired,
                           ImputeSet({series}));

@@ -39,13 +39,13 @@ Result<MaskedMatrix> BuildMaskedMatrix(
 }
 
 std::vector<ts::TimeSeries> MatrixToSeries(
-    const MaskedMatrix& matrix, const std::vector<ts::TimeSeries>& original) {
+    const la::Matrix& values, const std::vector<ts::TimeSeries>& original) {
   std::vector<ts::TimeSeries> out;
   out.reserve(original.size());
   for (std::size_t j = 0; j < original.size(); ++j) {
     la::Vector vals(original[j].length());
     for (std::size_t t = 0; t < original[j].length(); ++t) {
-      vals[t] = original[j].IsMissing(t) ? matrix.values(t, j)
+      vals[t] = original[j].IsMissing(t) ? values(t, j)
                                          : original[j].value(t);
     }
     ts::TimeSeries s(std::move(vals));
@@ -67,6 +67,22 @@ void RestoreObserved(const MaskedMatrix& reference, la::Matrix* work) {
 
 double RelativeChange(const la::Matrix& a, const la::Matrix& b) {
   return a.Subtract(b).FrobeniusNorm() / (b.FrobeniusNorm() + 1e-12);
+}
+
+Status IterateUntilConverged(int max_iters, double tol,
+                             FitDiagnostics* diagnostics,
+                             const std::function<Result<double>()>& step) {
+  diagnostics->converged = false;
+  for (int it = 0; it < max_iters; ++it) {
+    ADARTS_ASSIGN_OR_RETURN(const double change, step());
+    diagnostics->iterations = it + 1;
+    diagnostics->final_change = change;
+    if (change < tol) {
+      diagnostics->converged = true;
+      break;
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace adarts::impute

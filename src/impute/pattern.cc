@@ -68,8 +68,8 @@ double SesView(const MaskedMatrix& m, std::size_t t, std::size_t j,
 
 }  // namespace
 
-Result<std::vector<ts::TimeSeries>> StMvlImputer::ImputeSet(
-    const std::vector<ts::TimeSeries>& set) const {
+Result<std::vector<ts::TimeSeries>> StMvlImputer::Fit(
+    const std::vector<ts::TimeSeries>& set, FitDiagnostics*) const {
   ADARTS_ASSIGN_OR_RETURN(MaskedMatrix m, BuildMaskedMatrix(set));
   const std::size_t n = m.cols();
   const std::size_t t_len = m.rows();
@@ -137,13 +137,11 @@ Result<std::vector<ts::TimeSeries>> StMvlImputer::ImputeSet(
     }
   }
 
-  MaskedMatrix repaired = m;
-  repaired.values = std::move(result);
-  return MatrixToSeries(repaired, set);
+  return MatrixToSeries(result, set);
 }
 
-Result<std::vector<ts::TimeSeries>> TkcmImputer::ImputeSet(
-    const std::vector<ts::TimeSeries>& set) const {
+Result<std::vector<ts::TimeSeries>> TkcmImputer::Fit(
+    const std::vector<ts::TimeSeries>& set, FitDiagnostics*) const {
   ADARTS_ASSIGN_OR_RETURN(MaskedMatrix m, BuildMaskedMatrix(set));
   la::Matrix result = m.values;
 
@@ -160,8 +158,8 @@ Result<std::vector<ts::TimeSeries>> TkcmImputer::ImputeSet(
       const std::size_t block_len = end - t;
 
       // The query pattern is the window immediately preceding the block.
+      // Without a usable match the block keeps its interpolation pre-fill.
       const std::size_t p = std::min(pattern_length_, t);
-      bool repaired_block = false;
       if (p >= 2) {
         // Scan the fully observed history for the best-matching window whose
         // continuation (block_len values) is also observed.
@@ -192,27 +190,21 @@ Result<std::vector<ts::TimeSeries>> TkcmImputer::ImputeSet(
           for (std::size_t i = 0; i < block_len; ++i) {
             result(t + i, j) = m.values(best_pos + i, j) + anchor;
           }
-          repaired_block = true;
         }
-      }
-      if (!repaired_block) {
-        // Fallback: keep the interpolation pre-fill.
       }
       t = end;
     }
   }
 
-  MaskedMatrix repaired = m;
-  repaired.values = std::move(result);
-  return MatrixToSeries(repaired, set);
+  return MatrixToSeries(result, set);
 }
 
-Result<std::vector<ts::TimeSeries>> IimImputer::ImputeSet(
-    const std::vector<ts::TimeSeries>& set) const {
+Result<std::vector<ts::TimeSeries>> IimImputer::Fit(
+    const std::vector<ts::TimeSeries>& set, FitDiagnostics*) const {
   ADARTS_ASSIGN_OR_RETURN(MaskedMatrix m, BuildMaskedMatrix(set));
   const std::size_t n = m.cols();
   if (n < 2) {
-    return MatrixToSeries(m, set);  // interpolation pre-fill
+    return MatrixToSeries(m.values, set);  // interpolation pre-fill
   }
   la::Matrix result = m.values;
 
@@ -249,9 +241,7 @@ Result<std::vector<ts::TimeSeries>> IimImputer::ImputeSet(
     }
   }
 
-  MaskedMatrix repaired = m;
-  repaired.values = std::move(result);
-  return MatrixToSeries(repaired, set);
+  return MatrixToSeries(result, set);
 }
 
 }  // namespace adarts::impute

@@ -16,10 +16,12 @@ class StMvlImputer final : public Imputer {
   explicit StMvlImputer(std::size_t temporal_window = 8, double ses_alpha = 0.4)
       : temporal_window_(temporal_window), ses_alpha_(ses_alpha) {}
   std::string_view name() const override { return "stmvl"; }
-  Result<std::vector<ts::TimeSeries>> ImputeSet(
-      const std::vector<ts::TimeSeries>& set) const override;
 
  private:
+  Result<std::vector<ts::TimeSeries>> Fit(
+      const std::vector<ts::TimeSeries>& set,
+      FitDiagnostics* diagnostics) const override;
+
   std::size_t temporal_window_;
   double ses_alpha_;
 };
@@ -32,10 +34,12 @@ class TkcmImputer final : public Imputer {
   explicit TkcmImputer(std::size_t pattern_length = 8)
       : pattern_length_(pattern_length) {}
   std::string_view name() const override { return "tkcm"; }
-  Result<std::vector<ts::TimeSeries>> ImputeSet(
-      const std::vector<ts::TimeSeries>& set) const override;
 
  private:
+  Result<std::vector<ts::TimeSeries>> Fit(
+      const std::vector<ts::TimeSeries>& set,
+      FitDiagnostics* diagnostics) const override;
+
   std::size_t pattern_length_;
 };
 
@@ -47,10 +51,12 @@ class IimImputer final : public Imputer {
  public:
   explicit IimImputer(double ridge = 0.1) : ridge_(ridge) {}
   std::string_view name() const override { return "iim"; }
-  Result<std::vector<ts::TimeSeries>> ImputeSet(
-      const std::vector<ts::TimeSeries>& set) const override;
 
  private:
+  Result<std::vector<ts::TimeSeries>> Fit(
+      const std::vector<ts::TimeSeries>& set,
+      FitDiagnostics* diagnostics) const override;
+
   double ridge_;
 };
 

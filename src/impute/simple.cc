@@ -3,45 +3,29 @@
 #include <algorithm>
 #include <cmath>
 
-#include "features/feature_extractor.h"
 #include "impute/masked_matrix.h"
 
 namespace adarts::impute {
 
-Result<std::vector<ts::TimeSeries>> MeanImputer::ImputeSet(
-    const std::vector<ts::TimeSeries>& set) const {
-  // Validate via the shared builder, then overwrite with per-series means.
-  ADARTS_RETURN_NOT_OK(BuildMaskedMatrix(set).status());
-  std::vector<ts::TimeSeries> out;
-  out.reserve(set.size());
-  for (const auto& s : set) {
-    const double mean = s.ObservedMean();
-    la::Vector vals(s.length());
-    for (std::size_t t = 0; t < s.length(); ++t) {
-      vals[t] = s.IsMissing(t) ? mean : s.value(t);
-    }
-    ts::TimeSeries repaired(std::move(vals));
-    repaired.set_name(s.name());
-    out.push_back(std::move(repaired));
+Result<std::vector<ts::TimeSeries>> MeanImputer::Fit(
+    const std::vector<ts::TimeSeries>& set, FitDiagnostics*) const {
+  ADARTS_ASSIGN_OR_RETURN(MaskedMatrix m, BuildMaskedMatrix(set));
+  for (std::size_t j = 0; j < m.cols(); ++j) {
+    const double mean = set[j].ObservedMean();
+    for (std::size_t t = 0; t < m.rows(); ++t) m.values(t, j) = mean;
   }
-  return out;
+  return MatrixToSeries(m.values, set);
 }
 
-Result<std::vector<ts::TimeSeries>> LinearInterpImputer::ImputeSet(
-    const std::vector<ts::TimeSeries>& set) const {
-  ADARTS_RETURN_NOT_OK(BuildMaskedMatrix(set).status());
-  std::vector<ts::TimeSeries> out;
-  out.reserve(set.size());
-  for (const auto& s : set) {
-    ts::TimeSeries repaired(features::InterpolateMissing(s));
-    repaired.set_name(s.name());
-    out.push_back(std::move(repaired));
-  }
-  return out;
+Result<std::vector<ts::TimeSeries>> LinearInterpImputer::Fit(
+    const std::vector<ts::TimeSeries>& set, FitDiagnostics*) const {
+  // The builder's pre-fill is the per-series linear interpolation.
+  ADARTS_ASSIGN_OR_RETURN(MaskedMatrix m, BuildMaskedMatrix(set));
+  return MatrixToSeries(m.values, set);
 }
 
-Result<std::vector<ts::TimeSeries>> KnnImputer::ImputeSet(
-    const std::vector<ts::TimeSeries>& set) const {
+Result<std::vector<ts::TimeSeries>> KnnImputer::Fit(
+    const std::vector<ts::TimeSeries>& set, FitDiagnostics*) const {
   ADARTS_ASSIGN_OR_RETURN(MaskedMatrix m, BuildMaskedMatrix(set));
   const std::size_t n_series = set.size();
   const std::size_t n_time = m.rows();
@@ -114,9 +98,7 @@ Result<std::vector<ts::TimeSeries>> KnnImputer::ImputeSet(
     }
   }
 
-  MaskedMatrix repaired = m;
-  repaired.values = std::move(result);
-  return MatrixToSeries(repaired, set);
+  return MatrixToSeries(result, set);
 }
 
 }  // namespace adarts::impute

@@ -11,16 +11,22 @@ namespace adarts::impute {
 class MeanImputer final : public Imputer {
  public:
   std::string_view name() const override { return "mean"; }
-  Result<std::vector<ts::TimeSeries>> ImputeSet(
-      const std::vector<ts::TimeSeries>& set) const override;
+
+ private:
+  Result<std::vector<ts::TimeSeries>> Fit(
+      const std::vector<ts::TimeSeries>& set,
+      FitDiagnostics* diagnostics) const override;
 };
 
 /// Linear interpolation between the nearest observed neighbours.
 class LinearInterpImputer final : public Imputer {
  public:
   std::string_view name() const override { return "linear_interp"; }
-  Result<std::vector<ts::TimeSeries>> ImputeSet(
-      const std::vector<ts::TimeSeries>& set) const override;
+
+ private:
+  Result<std::vector<ts::TimeSeries>> Fit(
+      const std::vector<ts::TimeSeries>& set,
+      FitDiagnostics* diagnostics) const override;
 };
 
 /// For each missing point, averages the k most-correlated other series at
@@ -30,10 +36,12 @@ class KnnImputer final : public Imputer {
  public:
   explicit KnnImputer(std::size_t k = 3) : k_(k) {}
   std::string_view name() const override { return "knn_impute"; }
-  Result<std::vector<ts::TimeSeries>> ImputeSet(
-      const std::vector<ts::TimeSeries>& set) const override;
 
  private:
+  Result<std::vector<ts::TimeSeries>> Fit(
+      const std::vector<ts::TimeSeries>& set,
+      FitDiagnostics* diagnostics) const override;
+
   std::size_t k_;
 };
 

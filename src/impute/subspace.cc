@@ -37,22 +37,21 @@ void Orthonormalize(la::Matrix* u) {
 
 }  // namespace
 
-Result<std::vector<ts::TimeSeries>> GrouseImputer::ImputeSetWithDiagnostics(
+Result<std::vector<ts::TimeSeries>> GrouseImputer::Fit(
     const std::vector<ts::TimeSeries>& set, FitDiagnostics* diagnostics) const {
   ADARTS_FAILPOINT("impute.grouse.fit");
-  if (diagnostics != nullptr) *diagnostics = FitDiagnostics{};
   ADARTS_ASSIGN_OR_RETURN(MaskedMatrix m, BuildMaskedMatrix(set));
   const std::size_t n = m.cols();  // ambient dimension = number of series
   const std::size_t t_len = m.rows();
 
   if (n < 2) {
     // No cross-section to track: the interpolation pre-fill is the output.
-    return MatrixToSeries(m, set);
+    return MatrixToSeries(m.values, set);
   }
   // GROUSE runs a fixed number of decaying-step passes rather than
   // iterating to a tolerance; it reports the pass count and counts as
   // converged by construction.
-  if (diagnostics != nullptr) diagnostics->iterations = passes_;
+  diagnostics->iterations = passes_;
   const std::size_t k = std::min<std::size_t>(std::max<std::size_t>(rank_, 1),
                                               n);
 
@@ -125,13 +124,10 @@ Result<std::vector<ts::TimeSeries>> GrouseImputer::ImputeSetWithDiagnostics(
     }
   }
 
-  MaskedMatrix repaired = m;
-  repaired.values = std::move(result);
-  RestoreObserved(m, &repaired.values);
-  return MatrixToSeries(repaired, set);
+  return MatrixToSeries(result, set);
 }
 
-Result<std::vector<ts::TimeSeries>> DynaMmoImputer::ImputeSetWithDiagnostics(
+Result<std::vector<ts::TimeSeries>> DynaMmoImputer::Fit(
     const std::vector<ts::TimeSeries>& set, FitDiagnostics* diagnostics) const {
   ADARTS_FAILPOINT("impute.dynammo.fit");
   ADARTS_ASSIGN_OR_RETURN(MaskedMatrix m, BuildMaskedMatrix(set));
@@ -142,9 +138,7 @@ Result<std::vector<ts::TimeSeries>> DynaMmoImputer::ImputeSetWithDiagnostics(
       std::min<std::size_t>(std::max<std::size_t>(latent_dim_, 1),
                             std::min(t_len > 1 ? t_len - 1 : 1, n));
 
-  FitDiagnostics diag;
-  diag.converged = false;
-  for (int it = 0; it < max_iters_; ++it) {
+  const auto step = [&]() -> Result<double> {
     // E-step surrogate: latent trajectory via PCA of the current fill.
     la::Pca pca;
     ADARTS_RETURN_NOT_OK(pca.Fit(x, k));
@@ -201,18 +195,11 @@ Result<std::vector<ts::TimeSeries>> DynaMmoImputer::ImputeSetWithDiagnostics(
     RestoreObserved(m, &recon);
     const double change = RelativeChange(recon, x);
     x = std::move(recon);
-    diag.iterations = it + 1;
-    diag.final_change = change;
-    if (change < tol_) {
-      diag.converged = true;
-      break;
-    }
-  }
-  if (diagnostics != nullptr) *diagnostics = diag;
-
-  MaskedMatrix repaired = m;
-  repaired.values = std::move(x);
-  return MatrixToSeries(repaired, set);
+    return change;
+  };
+  ADARTS_RETURN_NOT_OK(
+      IterateUntilConverged(max_iters_, tol_, diagnostics, step));
+  return MatrixToSeries(x, set);
 }
 
 }  // namespace adarts::impute

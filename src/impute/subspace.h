@@ -18,15 +18,12 @@ class GrouseImputer final : public Imputer {
                          double step = 0.5)
       : rank_(rank), passes_(passes), step_(step) {}
   std::string_view name() const override { return "grouse"; }
-  Result<std::vector<ts::TimeSeries>> ImputeSet(
-      const std::vector<ts::TimeSeries>& set) const override {
-    return ImputeSetWithDiagnostics(set, nullptr);
-  }
-  Result<std::vector<ts::TimeSeries>> ImputeSetWithDiagnostics(
+
+ private:
+  Result<std::vector<ts::TimeSeries>> Fit(
       const std::vector<ts::TimeSeries>& set,
       FitDiagnostics* diagnostics) const override;
 
- private:
   std::size_t rank_;
   int passes_;
   double step_;
@@ -43,15 +40,12 @@ class DynaMmoImputer final : public Imputer {
                           double tol = 1e-5)
       : latent_dim_(latent_dim), max_iters_(max_iters), tol_(tol) {}
   std::string_view name() const override { return "dynammo"; }
-  Result<std::vector<ts::TimeSeries>> ImputeSet(
-      const std::vector<ts::TimeSeries>& set) const override {
-    return ImputeSetWithDiagnostics(set, nullptr);
-  }
-  Result<std::vector<ts::TimeSeries>> ImputeSetWithDiagnostics(
+
+ private:
+  Result<std::vector<ts::TimeSeries>> Fit(
       const std::vector<ts::TimeSeries>& set,
       FitDiagnostics* diagnostics) const override;
 
- private:
   std::size_t latent_dim_;
   int max_iters_;
   double tol_;

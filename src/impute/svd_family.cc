@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/failpoint.h"
 #include "impute/masked_matrix.h"
@@ -11,32 +12,19 @@ namespace adarts::impute {
 
 namespace {
 
-/// Rank-k truncated reconstruction U_k S_k V_k^T.
-Result<la::Matrix> TruncatedReconstruction(const la::Matrix& x,
-                                           std::size_t rank) {
+/// Passes every singular value to ShrunkReconstruction.
+constexpr std::size_t kAllRanks = std::numeric_limits<std::size_t>::max();
+
+/// Reconstruction from the top `rank` singular triplets with every singular
+/// value shrunk by `threshold`: 0 is the rank-k truncation U_k S_k V_k^T,
+/// a positive threshold over kAllRanks is soft thresholding.
+Result<la::Matrix> ShrunkReconstruction(const la::Matrix& x, std::size_t rank,
+                                        double threshold) {
   ADARTS_ASSIGN_OR_RETURN(la::SvdResult svd, la::ComputeSvd(x));
   const std::size_t k =
       std::min<std::size_t>(rank, svd.singular_values.size());
   la::Matrix out(x.rows(), x.cols());
   for (std::size_t r = 0; r < k; ++r) {
-    const double s = svd.singular_values[r];
-    if (s <= 0.0) break;
-    for (std::size_t i = 0; i < x.rows(); ++i) {
-      const double us = svd.u(i, r) * s;
-      for (std::size_t j = 0; j < x.cols(); ++j) {
-        out(i, j) += us * svd.v(j, r);
-      }
-    }
-  }
-  return out;
-}
-
-/// Soft-thresholded reconstruction: singular values shrunk by `threshold`.
-Result<la::Matrix> SoftThresholdedReconstruction(const la::Matrix& x,
-                                                 double threshold) {
-  ADARTS_ASSIGN_OR_RETURN(la::SvdResult svd, la::ComputeSvd(x));
-  la::Matrix out(x.rows(), x.cols());
-  for (std::size_t r = 0; r < svd.singular_values.size(); ++r) {
     const double s = std::max(svd.singular_values[r] - threshold, 0.0);
     if (s <= 0.0) break;  // singular values are sorted descending
     for (std::size_t i = 0; i < x.rows(); ++i) {
@@ -57,62 +45,46 @@ double TopSingularValue(const la::Matrix& x) {
 
 }  // namespace
 
-Result<std::vector<ts::TimeSeries>> SvdImputer::ImputeSetWithDiagnostics(
+Result<std::vector<ts::TimeSeries>> SvdImputer::Fit(
     const std::vector<ts::TimeSeries>& set, FitDiagnostics* diagnostics) const {
   ADARTS_FAILPOINT("impute.svd.fit");
   ADARTS_ASSIGN_OR_RETURN(MaskedMatrix m, BuildMaskedMatrix(set));
   la::Matrix x = m.values;
   const std::size_t rank =
       std::min<std::size_t>(rank_, std::min(x.rows(), x.cols()));
-  FitDiagnostics diag;
-  diag.converged = false;
-  for (int it = 0; it < max_iters_; ++it) {
+  const auto step = [&]() -> Result<double> {
     ADARTS_ASSIGN_OR_RETURN(la::Matrix recon,
-                            TruncatedReconstruction(x, rank));
+                            ShrunkReconstruction(x, rank, 0.0));
     RestoreObserved(m, &recon);
     const double change = RelativeChange(recon, x);
     x = std::move(recon);
-    diag.iterations = it + 1;
-    diag.final_change = change;
-    if (change < tol_) {
-      diag.converged = true;
-      break;
-    }
-  }
-  if (diagnostics != nullptr) *diagnostics = diag;
-  MaskedMatrix repaired = m;
-  repaired.values = std::move(x);
-  return MatrixToSeries(repaired, set);
+    return change;
+  };
+  ADARTS_RETURN_NOT_OK(
+      IterateUntilConverged(max_iters_, tol_, diagnostics, step));
+  return MatrixToSeries(x, set);
 }
 
-Result<std::vector<ts::TimeSeries>> SoftImputer::ImputeSetWithDiagnostics(
+Result<std::vector<ts::TimeSeries>> SoftImputer::Fit(
     const std::vector<ts::TimeSeries>& set, FitDiagnostics* diagnostics) const {
   ADARTS_FAILPOINT("impute.soft.fit");
   ADARTS_ASSIGN_OR_RETURN(MaskedMatrix m, BuildMaskedMatrix(set));
   la::Matrix x = m.values;
   const double lambda = lambda_ratio_ * TopSingularValue(x);
-  FitDiagnostics diag;
-  diag.converged = false;
-  for (int it = 0; it < max_iters_; ++it) {
+  const auto step = [&]() -> Result<double> {
     ADARTS_ASSIGN_OR_RETURN(la::Matrix recon,
-                            SoftThresholdedReconstruction(x, lambda));
+                            ShrunkReconstruction(x, kAllRanks, lambda));
     RestoreObserved(m, &recon);
     const double change = RelativeChange(recon, x);
     x = std::move(recon);
-    diag.iterations = it + 1;
-    diag.final_change = change;
-    if (change < tol_) {
-      diag.converged = true;
-      break;
-    }
-  }
-  if (diagnostics != nullptr) *diagnostics = diag;
-  MaskedMatrix repaired = m;
-  repaired.values = std::move(x);
-  return MatrixToSeries(repaired, set);
+    return change;
+  };
+  ADARTS_RETURN_NOT_OK(
+      IterateUntilConverged(max_iters_, tol_, diagnostics, step));
+  return MatrixToSeries(x, set);
 }
 
-Result<std::vector<ts::TimeSeries>> SvtImputer::ImputeSetWithDiagnostics(
+Result<std::vector<ts::TimeSeries>> SvtImputer::Fit(
     const std::vector<ts::TimeSeries>& set, FitDiagnostics* diagnostics) const {
   ADARTS_FAILPOINT("impute.svt.fit");
   ADARTS_ASSIGN_OR_RETURN(MaskedMatrix m, BuildMaskedMatrix(set));
@@ -121,11 +93,9 @@ Result<std::vector<ts::TimeSeries>> SvtImputer::ImputeSetWithDiagnostics(
   // Y accumulates the dual variable; start from the observed projection.
   la::Matrix y = m.values;
   la::Matrix z = m.values;
-  FitDiagnostics diag;
-  diag.converged = false;
-  for (int it = 0; it < max_iters_; ++it) {
+  const auto step = [&]() -> Result<double> {
     ADARTS_ASSIGN_OR_RETURN(la::Matrix znew,
-                            SoftThresholdedReconstruction(y, tau));
+                            ShrunkReconstruction(y, kAllRanks, tau));
     const double change = RelativeChange(znew, z);
     z = std::move(znew);
     // Gradient step on observed residuals only.
@@ -136,21 +106,14 @@ Result<std::vector<ts::TimeSeries>> SvtImputer::ImputeSetWithDiagnostics(
         }
       }
     }
-    diag.iterations = it + 1;
-    diag.final_change = change;
-    if (change < tol_) {
-      diag.converged = true;
-      break;
-    }
-  }
-  if (diagnostics != nullptr) *diagnostics = diag;
-  RestoreObserved(m, &z);
-  MaskedMatrix repaired = m;
-  repaired.values = std::move(z);
-  return MatrixToSeries(repaired, set);
+    return change;
+  };
+  ADARTS_RETURN_NOT_OK(
+      IterateUntilConverged(max_iters_, tol_, diagnostics, step));
+  return MatrixToSeries(z, set);
 }
 
-Result<std::vector<ts::TimeSeries>> RoslImputer::ImputeSetWithDiagnostics(
+Result<std::vector<ts::TimeSeries>> RoslImputer::Fit(
     const std::vector<ts::TimeSeries>& set, FitDiagnostics* diagnostics) const {
   ADARTS_FAILPOINT("impute.rosl.fit");
   ADARTS_ASSIGN_OR_RETURN(MaskedMatrix m, BuildMaskedMatrix(set));
@@ -168,16 +131,12 @@ Result<std::vector<ts::TimeSeries>> RoslImputer::ImputeSetWithDiagnostics(
   const double thr = sparsity_ * scale;
 
   la::Matrix lowrank = x;
-  FitDiagnostics diag;
-  diag.converged = false;
-  for (int it = 0; it < max_iters_; ++it) {
+  const auto step = [&]() -> Result<double> {
     // Low-rank fit of the outlier-cleaned matrix.
-    ADARTS_ASSIGN_OR_RETURN(la::Matrix fit,
-                            TruncatedReconstruction(x.Subtract(sparse), rank));
+    ADARTS_ASSIGN_OR_RETURN(
+        la::Matrix fit, ShrunkReconstruction(x.Subtract(sparse), rank, 0.0));
     const double change = RelativeChange(fit, lowrank);
     lowrank = std::move(fit);
-    diag.iterations = it + 1;
-    diag.final_change = change;
     // Sparse component: soft-threshold the observed residuals.
     for (std::size_t t = 0; t < m.rows(); ++t) {
       for (std::size_t j = 0; j < m.cols(); ++j) {
@@ -190,16 +149,11 @@ Result<std::vector<ts::TimeSeries>> RoslImputer::ImputeSetWithDiagnostics(
         }
       }
     }
-    if (change < tol_) {
-      diag.converged = true;
-      break;
-    }
-  }
-  if (diagnostics != nullptr) *diagnostics = diag;
-  MaskedMatrix repaired = m;
-  repaired.values = std::move(lowrank);
-  RestoreObserved(m, &repaired.values);
-  return MatrixToSeries(repaired, set);
+    return change;
+  };
+  ADARTS_RETURN_NOT_OK(
+      IterateUntilConverged(max_iters_, tol_, diagnostics, step));
+  return MatrixToSeries(lowrank, set);
 }
 
 }  // namespace adarts::impute

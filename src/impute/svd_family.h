@@ -16,15 +16,12 @@ class SvdImputer final : public Imputer {
                       double tol = 1e-5)
       : rank_(rank), max_iters_(max_iters), tol_(tol) {}
   std::string_view name() const override { return "svd_impute"; }
-  Result<std::vector<ts::TimeSeries>> ImputeSet(
-      const std::vector<ts::TimeSeries>& set) const override {
-    return ImputeSetWithDiagnostics(set, nullptr);
-  }
-  Result<std::vector<ts::TimeSeries>> ImputeSetWithDiagnostics(
+
+ private:
+  Result<std::vector<ts::TimeSeries>> Fit(
       const std::vector<ts::TimeSeries>& set,
       FitDiagnostics* diagnostics) const override;
 
- private:
   std::size_t rank_;
   int max_iters_;
   double tol_;
@@ -39,15 +36,12 @@ class SoftImputer final : public Imputer {
                        double tol = 1e-5)
       : lambda_ratio_(lambda_ratio), max_iters_(max_iters), tol_(tol) {}
   std::string_view name() const override { return "soft_impute"; }
-  Result<std::vector<ts::TimeSeries>> ImputeSet(
-      const std::vector<ts::TimeSeries>& set) const override {
-    return ImputeSetWithDiagnostics(set, nullptr);
-  }
-  Result<std::vector<ts::TimeSeries>> ImputeSetWithDiagnostics(
+
+ private:
+  Result<std::vector<ts::TimeSeries>> Fit(
       const std::vector<ts::TimeSeries>& set,
       FitDiagnostics* diagnostics) const override;
 
- private:
   double lambda_ratio_;
   int max_iters_;
   double tol_;
@@ -62,15 +56,12 @@ class SvtImputer final : public Imputer {
                       int max_iters = 80, double tol = 1e-5)
       : tau_ratio_(tau_ratio), step_(step), max_iters_(max_iters), tol_(tol) {}
   std::string_view name() const override { return "svt"; }
-  Result<std::vector<ts::TimeSeries>> ImputeSet(
-      const std::vector<ts::TimeSeries>& set) const override {
-    return ImputeSetWithDiagnostics(set, nullptr);
-  }
-  Result<std::vector<ts::TimeSeries>> ImputeSetWithDiagnostics(
+
+ private:
+  Result<std::vector<ts::TimeSeries>> Fit(
       const std::vector<ts::TimeSeries>& set,
       FitDiagnostics* diagnostics) const override;
 
- private:
   double tau_ratio_;
   double step_;
   int max_iters_;
@@ -87,15 +78,12 @@ class RoslImputer final : public Imputer {
                        int max_iters = 30, double tol = 1e-5)
       : rank_(rank), sparsity_(sparsity), max_iters_(max_iters), tol_(tol) {}
   std::string_view name() const override { return "rosl"; }
-  Result<std::vector<ts::TimeSeries>> ImputeSet(
-      const std::vector<ts::TimeSeries>& set) const override {
-    return ImputeSetWithDiagnostics(set, nullptr);
-  }
-  Result<std::vector<ts::TimeSeries>> ImputeSetWithDiagnostics(
+
+ private:
+  Result<std::vector<ts::TimeSeries>> Fit(
       const std::vector<ts::TimeSeries>& set,
       FitDiagnostics* diagnostics) const override;
 
- private:
   std::size_t rank_;
   double sparsity_;
   int max_iters_;
