@@ -356,10 +356,8 @@ int main(int argc, char** argv) {
       config.max_datasets = 2;
     }
   }
-  adarts::TraceOptions trace_options;
-  trace_options.path = adarts::bench::TracePathFromArgs(argc, argv);
-  trace_options.enabled = !trace_options.path.empty();
-  adarts::ScopedTrace trace_session(trace_options);
+  adarts::ScopedTrace trace_session(adarts::TraceOptions::FromFlagOrEnv(
+      adarts::bench::TracePathFromArgs(argc, argv)));
   const adarts::bench::BenchJsonWriter writer(
       adarts::bench::JsonPathFromArgs(argc, argv));
   return adarts::bench::Run(config, writer);

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "adarts/adarts.h"
 #include "common/exec_context.h"
@@ -23,13 +24,11 @@
 int main(int argc, char** argv) {
   using namespace adarts;
 
-  TraceOptions trace_options;
+  std::string trace_path;  // --trace FILE, or ADARTS_TRACE when absent
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) {
-      trace_options.path = argv[i + 1];
-      trace_options.enabled = true;
-    }
+    if (std::strcmp(argv[i], "--trace") == 0) trace_path = argv[i + 1];
   }
+  const TraceOptions trace_options = TraceOptions::FromFlagOrEnv(trace_path);
   ScopedTrace trace_session(trace_options);
 
   // --- 1. A training corpus: complete series from a few domains. In a real

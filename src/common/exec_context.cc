@@ -1,34 +1,6 @@
 #include "common/exec_context.h"
 
-#include "common/log.h"
-
 namespace adarts {
-
-ExecContext::ExecContext(std::size_t num_threads,
-                         const CancellationToken* cancel)
-    : ExecContext(num_threads, cancel, TraceOptions::FromEnv()) {}
-
-ExecContext::ExecContext(std::size_t num_threads,
-                         const CancellationToken* cancel,
-                         const TraceOptions& trace)
-    : num_threads_(num_threads), cancel_(cancel), trace_options_(trace) {
-  if (trace_options_.enabled) {
-    // First-owner-wins: under a tool's ScopedTrace (or an outer context)
-    // Start returns false and this context just records into the session.
-    owns_trace_ = Tracer::Global().Start(trace_options_);
-  }
-}
-
-ExecContext::~ExecContext() {
-  if (!owns_trace_) return;
-  Tracer& tracer = Tracer::Global();
-  tracer.Stop();
-  if (trace_options_.path.empty()) return;
-  const Status written = tracer.WriteJson(trace_options_.path);
-  if (!written.ok()) {
-    LogWarn("trace export failed: " + written.ToString());
-  }
-}
 
 ThreadPool& ExecContext::pool() {
   std::lock_guard<std::mutex> lock(pool_mu_);

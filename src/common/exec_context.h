@@ -13,7 +13,6 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "common/trace.h"
 
 namespace adarts {
 
@@ -50,23 +49,16 @@ class ExecContext {
  public:
   /// A context with `num_threads` workers (0 = hardware concurrency, 1 =
   /// serial) and an optional cancellation/deadline token (not owned; must
-  /// outlive the context's users, nullptr disables cancellation). Tracing
-  /// follows `ADARTS_TRACE=<path>` (via `TraceOptions::FromEnv`).
+  /// outlive the context's users, nullptr disables cancellation). A context
+  /// never starts or ends a trace session: its stages record into whatever
+  /// session a `ScopedTrace` started, so any number of contexts, in
+  /// sequence or nested, land in one exported timeline.
   explicit ExecContext(std::size_t num_threads = 0,
-                       const CancellationToken* cancel = nullptr);
-
-  /// Same, with explicit tracing control. When `trace.enabled` and no other
-  /// owner already started the global tracer, this context starts a trace
-  /// session and — on destruction — stops it and exports the JSON to
-  /// `trace.path`. A context that did not win ownership (e.g. running under
-  /// a tool's `ScopedTrace`) still records events, it just doesn't manage
-  /// the session.
-  ExecContext(std::size_t num_threads, const CancellationToken* cancel,
-              const TraceOptions& trace);
+                       const CancellationToken* cancel = nullptr)
+      : num_threads_(num_threads), cancel_(cancel) {}
 
   ExecContext(const ExecContext&) = delete;
   ExecContext& operator=(const ExecContext&) = delete;
-  ~ExecContext();
 
   /// The configured worker count (unresolved: 0 means hardware concurrency).
   std::size_t num_threads() const { return num_threads_; }
@@ -98,12 +90,6 @@ class ExecContext {
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
 
-  /// The tracing configuration this context was built with.
-  const TraceOptions& trace_options() const { return trace_options_; }
-
-  /// True when this context started (and will export) the trace session.
-  bool owns_trace() const { return owns_trace_; }
-
   /// The deterministic fork policy (PR 1's contract): `count` child
   /// generators forked from `parent` serially on the calling thread, child
   /// `i` coming from the i-th `Fork()` call — so the per-index streams are
@@ -113,8 +99,6 @@ class ExecContext {
  private:
   std::size_t num_threads_ = 0;
   const CancellationToken* cancel_ = nullptr;
-  TraceOptions trace_options_;
-  bool owns_trace_ = false;
   Metrics metrics_;
   mutable std::mutex pool_mu_;
   std::unique_ptr<ThreadPool> pool_;

@@ -49,6 +49,14 @@ TraceOptions TraceOptions::FromEnv() {
   return options;
 }
 
+TraceOptions TraceOptions::FromFlagOrEnv(std::string path) {
+  if (path.empty()) return FromEnv();
+  TraceOptions options;
+  options.enabled = true;
+  options.path = std::move(path);
+  return options;
+}
+
 Tracer& Tracer::Global() {
   static Tracer* tracer = new Tracer();  // never destroyed: threads may
                                          // record until process exit

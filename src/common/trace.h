@@ -17,8 +17,9 @@ namespace adarts {
 
 /// Operator knobs for the event tracer (DESIGN.md §9). Tracing is OFF by
 /// default; when off, every instrumented hot path costs exactly one relaxed
-/// atomic load. `TraceOptions::FromEnv()` honours `ADARTS_TRACE=<path>`, so
-/// any tool built on `ExecContext` can be traced without a flag.
+/// atomic load. A session belongs to one `ScopedTrace`, which every binary
+/// with a `--trace <path>` flag builds from `FromFlagOrEnv`, so those
+/// binaries also honour `ADARTS_TRACE=<path>`.
 struct TraceOptions {
   /// Arms the global tracer for the lifetime of the owning scope.
   bool enabled = false;
@@ -26,14 +27,18 @@ struct TraceOptions {
   /// once a thread's buffer is full, further events are dropped and counted
   /// in `Tracer::dropped_events()`.
   std::size_t capacity_per_thread = std::size_t{1} << 16;
-  /// Where the Chrome trace-event JSON is written when the owning scope
-  /// ends (`ExecContext` destruction / `ScopedTrace` destruction). Empty:
-  /// the caller exports explicitly via `Tracer::WriteJson`.
+  /// Where the Chrome trace-event JSON is written when the owning
+  /// `ScopedTrace` ends. Empty: the caller exports explicitly via
+  /// `Tracer::WriteJson`.
   std::string path;
 
   /// `ADARTS_TRACE=<path>` → `{enabled: true, path: <path>}`; unset or
   /// empty → disabled. Read per call — never latched.
   static TraceOptions FromEnv();
+
+  /// `{enabled: true, path: <path>}` for a non-empty `--trace` value,
+  /// FromEnv() otherwise.
+  static TraceOptions FromFlagOrEnv(std::string path);
 };
 
 /// The process-wide event tracer behind the engine's timeline profiling

@@ -148,11 +148,9 @@ Status Server::Start() {
                                                         : options_.num_workers;
   worker_contexts_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
-    // Explicit TraceOptions: a worker context never owns a trace session
-    // (the daemon's ScopedTrace does); spans it records still land in an
-    // active global session.
-    worker_contexts_.push_back(std::make_unique<ExecContext>(
-        options_.threads_per_worker, nullptr, TraceOptions{}));
+    // Spans a worker records land in the daemon's ScopedTrace session.
+    worker_contexts_.push_back(
+        std::make_unique<ExecContext>(options_.threads_per_worker));
   }
   start_steady_ns_ = SteadyNowNs();
   started_.store(true, std::memory_order_release);
@@ -497,7 +495,7 @@ void Server::Execute(ExecContext& ctx, const Adarts& engine,
 void Server::ReloadLoop() {
   Tracer::SetCurrentThreadName("serve-reload");
   // A dedicated serial context: canary checks never contend with workers.
-  ExecContext ctx(1, nullptr, TraceOptions{});
+  ExecContext ctx(1);
   ReloadJob job;
   while (reload_queue_.Pop(&job)) {
     const Status outcome = DoReload(ctx, job.request.text);

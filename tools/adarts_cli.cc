@@ -328,12 +328,10 @@ int Main(int argc, char** argv) {
   const Result<Numbers> numbers = ParseNumbers(args, command);
   if (!numbers.ok()) return tools::BadFlag(numbers.status());
   const Numbers& n = *numbers;
-  // --trace FILE arms the global tracer for the whole command; the JSON is
-  // exported when `session` leaves scope, after the subcommand returns.
-  TraceOptions trace_options;
-  trace_options.path = args.Get("trace");
-  trace_options.enabled = !trace_options.path.empty();
-  ScopedTrace session(trace_options);
+  // --trace FILE (or ADARTS_TRACE) arms the global tracer for the whole
+  // command; the JSON is exported when `session` leaves scope, after the
+  // subcommand returns.
+  ScopedTrace session(TraceOptions::FromFlagOrEnv(args.Get("trace")));
   if (command == "generate") return CmdGenerate(args, n);
   if (command == "inject") return CmdInject(args, n);
   if (command == "label") return CmdLabel(args);

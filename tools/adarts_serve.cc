@@ -134,13 +134,7 @@ int Main(int argc, char** argv) {
   });
   if (!flags.ok()) return BadFlag(flags);
 
-  TraceOptions trace = TraceOptions::FromEnv();
-  const std::string trace_path = args.Get("trace");
-  if (!trace_path.empty()) {
-    trace.enabled = true;
-    trace.path = trace_path;
-  }
-  ScopedTrace trace_session(trace);
+  ScopedTrace trace_session(TraceOptions::FromFlagOrEnv(args.Get("trace")));
 
   auto engine = Adarts::Load(model);
   if (!engine.ok()) return Fail(engine.status());

@@ -58,16 +58,15 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  // --trace FILE exports a Chrome trace-event timeline of the sweep; the
-  // fault-injection spans land next to the warnings they trigger.
-  adarts::TraceOptions trace_options;
+  // --trace FILE (or ADARTS_TRACE) exports a Chrome trace-event timeline of
+  // the sweep; the fault-injection spans land next to the warnings they
+  // trigger.
+  std::string trace_path;
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--trace") {
-      trace_options.path = argv[i + 1];
-      trace_options.enabled = true;
-    }
+    if (std::string(argv[i]) == "--trace") trace_path = argv[i + 1];
   }
-  adarts::ScopedTrace trace_session(trace_options);
+  adarts::ScopedTrace trace_session(
+      adarts::TraceOptions::FromFlagOrEnv(trace_path));
 
   const auto armed = adarts::FailpointRegistry::Instance().ArmedSites();
   std::printf("armed failpoints: %zu\n", armed.size());
