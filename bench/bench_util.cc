@@ -12,6 +12,7 @@
 #include "common/stopwatch.h"
 #include "labeling/labeler.h"
 #include "ml/metrics.h"
+#include "tools/tool_args.h"
 #include "ts/missing.h"
 
 namespace adarts::bench {
@@ -276,6 +277,23 @@ std::string JsonPathFromArgs(int argc, char** argv) {
     }
   }
   return "";
+}
+
+Result<std::size_t> ThreadsFromArgs(int argc, char** argv) {
+  constexpr std::uint64_t kMaxThreads = 1024;
+  std::size_t threads = 0;
+  for (int i = 1; i < argc; ++i) {
+    const char* value = nullptr;
+    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+      value = argv[++i];
+    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
+      value = argv[i] + 10;
+    }
+    if (value == nullptr) continue;
+    ADARTS_ASSIGN_OR_RETURN(threads,
+                            tools::ParseUint("threads", value, kMaxThreads));
+  }
+  return threads;
 }
 
 std::string TracePathFromArgs(int argc, char** argv) {

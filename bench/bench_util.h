@@ -120,6 +120,11 @@ class BenchJsonWriter {
 /// Scans argv for `--json <path>` / `--json=<path>`; empty when absent.
 std::string JsonPathFromArgs(int argc, char** argv);
 
+/// Scans argv for `--threads N` / `--threads=N`: 0 (hardware concurrency)
+/// when absent, an InvalidArgument naming the flag when N is not an integer
+/// in [0, 1024].
+Result<std::size_t> ThreadsFromArgs(int argc, char** argv);
+
 /// Scans argv for `--trace <path>` / `--trace=<path>`; empty when absent.
 /// Benches wrap their run in a `ScopedTrace` built from this path so the
 /// whole measurement exports one Chrome trace-event timeline.
