@@ -201,7 +201,7 @@ Result<ModelRaceReport> RunModelRace(const ml::Dataset& train,
       // fold, score on the held-out fold. Scoring each fold on its own
       // held-out data keeps the per-fold scores (approximately)
       // independent, which the pairwise t-tests of the pruning phase rely
-      // on; the external test set T is reserved for the final elite stats.
+      // on.
       std::vector<std::size_t> train_indices;
       for (std::size_t other = 0; other < folds.size(); ++other) {
         if (other == fold) continue;

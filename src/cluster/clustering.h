@@ -23,7 +23,9 @@ struct Clustering {
 };
 
 /// Pairwise Pearson correlation matrix of a series set (symmetric, unit
-/// diagonal). The labeling pipeline computes this once and reuses it. The
+/// diagonal). Train computes it twice over the whole corpus: in
+/// `IncrementalClustering` for the split decisions, then again in
+/// `labeling::LabelByClusters` for representative selection. The
 /// n*(n-1)/2 upper-triangle pairs fan out over `ctx`'s shared pool (serial
 /// contexts never construct one); each task owns exactly one pair index k,
 /// decoded to (i, j) with `PairFromIndex`, and writes only the two mirrored

@@ -87,13 +87,16 @@ struct ClusterLabel {
   std::size_t imputation_runs = 0;
 };
 
-/// Labels a standalone cluster exactly as one iteration of
-/// `LabelByClusters` would: representatives are selected by correlation
-/// medoid within `cluster_set`, masked with the configured pattern, scored
-/// against the pool, and the argmin-mean-RMSE algorithm wins. Singleton
-/// clusters score their only member. Used by `Adarts::AppendSeries` to
-/// label freshly split clusters — cost is `reps * |algorithms|` runs,
-/// independent of the corpus size.
+/// Labels a standalone cluster by the procedure of one `LabelByClusters`
+/// iteration: representatives are selected by correlation medoid within
+/// `cluster_set`, masked with the configured pattern, scored against the
+/// pool, and the argmin-mean-RMSE algorithm wins. Singleton clusters score
+/// their only member. The masks differ from that iteration's: this draws
+/// from a fresh `Rng(options.seed)` and masks representatives in medoid
+/// order, while `LabelByClusters` draws from one `Rng` running across all
+/// clusters and masks in ascending member order. Used by
+/// `Adarts::AppendSeries` to label freshly split clusters — cost is
+/// `reps * |algorithms|` runs, independent of the corpus size.
 Result<ClusterLabel> LabelSingleCluster(
     const std::vector<ts::TimeSeries>& cluster_set,
     const LabelingOptions& options, ExecContext& ctx);
