@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "cluster/incremental.h"
 #include "common/exec_context.h"
+#include "data/generators.h"
 #include "labeling/labeler.h"
 #include "tests/test_util.h"
 
@@ -104,6 +111,92 @@ TEST(ClusterLabelingTest, UsesFewerImputationRunsThanFull) {
   EXPECT_LE(fast->imputation_runs,
             clustering->NumClusters() * fast->algorithms.size());
   EXPECT_LE(fast->imputation_runs, series.size() * fast->algorithms.size());
+}
+
+/// What one LabelByClusters run produced, with the RMSE matrix reduced to
+/// an FNV-1a digest of its raw bytes.
+struct ClusterLabelingGolden {
+  std::size_t representatives_per_cluster = 0;
+  std::vector<int> labels;
+  std::vector<std::vector<std::size_t>> cluster_representatives;
+  std::size_t imputation_runs = 0;
+  std::uint64_t rmse_fnv = 0;
+};
+
+const ClusterLabelingGolden kClusterLabelingGolden[] = {
+    {.representatives_per_cluster = 2,
+     .labels = {3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 0, 0, 0, 1, 0,
+                1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     .cluster_representatives = {{7, 9}, {26, 20}, {11, 12}, {15, 13}},
+     .imputation_runs = 16,
+     .rmse_fnv = 0x68fe62074cced6b9ULL},
+    {.representatives_per_cluster = 4,
+     .labels = {3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 1, 1, 1, 1, 1,
+                1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     .cluster_representatives = {{7, 9, 0, 1},
+                                 {26, 20, 22, 21},
+                                 {12, 14, 10, 11},
+                                 {15, 13, 17, 16}},
+     .imputation_runs = 16,
+     .rmse_fnv = 0x4d7e6470a20fcb11ULL},
+};
+
+/// Pins LabelByClusters on the clustering of a fixed corpus (10 series each
+/// of Water, Medical and Lightning, length 128). At 4 representatives the
+/// mean RMSE sums four scores, so the order in which representatives are
+/// masked and summed shows in the digest.
+TEST(ClusterLabelingTest, GoldenAtTwoAndFourRepresentatives) {
+  data::GeneratorOptions gopts;
+  gopts.num_series = 10;
+  gopts.length = 128;
+  gopts.seed = 2;
+  std::vector<ts::TimeSeries> corpus;
+  for (data::Category c : {data::Category::kWater, data::Category::kMedical,
+                           data::Category::kLightning}) {
+    for (ts::TimeSeries& s : data::GenerateCategory(c, gopts)) {
+      corpus.push_back(std::move(s));
+    }
+  }
+  ExecContext ctx(testing::TestThreadCount());
+  auto clustering = cluster::IncrementalClustering(corpus, {}, ctx);
+  ASSERT_TRUE(clustering.ok()) << clustering.status();
+
+  for (const ClusterLabelingGolden& golden : kClusterLabelingGolden) {
+    SCOPED_TRACE("representatives_per_cluster=" +
+                 std::to_string(golden.representatives_per_cluster));
+    LabelingOptions opts = SmallPool();
+    opts.representatives_per_cluster = golden.representatives_per_cluster;
+    auto result = LabelByClusters(corpus, *clustering, opts, ctx);
+    ASSERT_TRUE(result.ok()) << result.status();
+    std::vector<double> rmse;
+    for (std::size_t r = 0; r < result->rmse.rows(); ++r) {
+      rmse.insert(rmse.end(), result->rmse.RowPtr(r),
+                  result->rmse.RowPtr(r) + result->rmse.cols());
+    }
+    EXPECT_EQ(result->labels, golden.labels);
+    EXPECT_EQ(result->cluster_representatives,
+              golden.cluster_representatives);
+    EXPECT_EQ(result->imputation_runs, golden.imputation_runs);
+    EXPECT_EQ(testing::BytesFnv(rmse), golden.rmse_fnv);
+
+    // The pin covers the case where masking order matters: a cluster with
+    // more than 4 members whose representatives, best medoid first, are not
+    // in member order.
+    bool reordered = false;
+    for (std::size_t k = 0; k < clustering->NumClusters(); ++k) {
+      const std::vector<std::size_t>& members = clustering->clusters[k];
+      std::vector<std::ptrdiff_t> positions;
+      for (std::size_t rep : result->cluster_representatives[k]) {
+        positions.push_back(
+            std::find(members.begin(), members.end(), rep) - members.begin());
+      }
+      if (members.size() > 4 &&
+          !std::is_sorted(positions.begin(), positions.end())) {
+        reordered = true;
+      }
+    }
+    EXPECT_TRUE(reordered);
+  }
 }
 
 TEST(ClusterRepresentativesTest, PicksHighestTotalCorrelation) {
