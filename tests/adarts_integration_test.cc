@@ -288,6 +288,39 @@ const TrainingDigest kAppended{
         "stmvl,tkcm,linear_interp,knn_impute,iim"},
 };
 
+/// AppendSeries of 8 Water and 8 Medical series (generator seed 2) on the
+/// appended engine: a delta from categories the corpus lacks, so it opens
+/// several clusters.
+const TrainingDigest kAppendedUnseen{
+    .labels = {
+        7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5,
+        5, 5, 6, 6, 7, 6, 11, 11, 11, 5, 6, 6, 6, 11, 7, 7, 7, 7, 5, 5, 5, 6,
+        11, 12, 5, 5, 5, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6},
+    .features_fnv = 0x53d522179b35303cULL,
+    .elites = {"ridge(alpha=0.693722)+minmax", "ridge(alpha=0.693722)+l2norm"},
+    .elite_scores_fnv = {0x31e1212a8101ee85ULL, 0xc6402c71ab3f42e0ULL},
+    .committee_size = 2,
+    .rankings = {
+        "tenmf,dynammo,trmf,mean,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,linear_interp,knn_impute,iim",
+        "tenmf,dynammo,trmf,mean,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,linear_interp,knn_impute,iim",
+        "tenmf,mean,iim,trmf,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,linear_interp,knn_impute,dynammo",
+        "dynammo,trmf,iim,tenmf,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,linear_interp,knn_impute,mean",
+        "dynammo,trmf,iim,tenmf,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,linear_interp,knn_impute,mean",
+        "dynammo,trmf,iim,tenmf,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "stmvl,tkcm,linear_interp,knn_impute,mean",
+        "trmf,iim,dynammo,mean,tenmf,cdrec,svd_impute,soft_impute,svt,grouse,"
+        "rosl,stmvl,tkcm,linear_interp,knn_impute",
+        "trmf,dynammo,tenmf,iim,mean,cdrec,svd_impute,soft_impute,svt,grouse,"
+        "rosl,stmvl,tkcm,linear_interp,knn_impute",
+        "trmf,iim,tenmf,mean,dynammo,cdrec,svd_impute,soft_impute,svt,grouse,"
+        "rosl,stmvl,tkcm,linear_interp,knn_impute"},
+};
+
 /// TrainFromLabeled on the trained engine's rows, seed 99.
 const TrainingDigest kFromLabeled{
     .labels = kTrained.labels,
@@ -326,8 +359,10 @@ const TrainingDigest kFromLabeled{
 /// Pins what the three training entry points learn on a fixed corpus, at 1
 /// and at `TestThreadCount()` threads: 13 series each of Climate, Power and
 /// Motion train the engine, the last 3 of each are the appended delta, and
-/// the delta masked with one single block is the probe set. gamma = 0 keeps
-/// wall-clock out of the race, so every pinned value is exact.
+/// the delta masked with one single block is the probe set. A second append
+/// of unseen Water and Medical series then opens several clusters at once,
+/// one with more members than representatives. gamma = 0 keeps wall-clock
+/// out of the race, so every pinned value is exact.
 TEST(TrainingGoldenTest, TrainAppendAndTrainFromLabeledArePinned) {
   data::GeneratorOptions gopts;
   gopts.num_series = 16;
@@ -340,6 +375,14 @@ TEST(TrainingGoldenTest, TrainAppendAndTrainFromLabeledArePinned) {
     std::vector<ts::TimeSeries> series = data::GenerateCategory(c, gopts);
     for (std::size_t i = 0; i < series.size(); ++i) {
       (i < 13 ? corpus : delta).push_back(std::move(series[i]));
+    }
+  }
+  std::vector<ts::TimeSeries> unseen;
+  gopts.num_series = 8;
+  gopts.seed = 2;
+  for (data::Category c : {data::Category::kWater, data::Category::kMedical}) {
+    for (ts::TimeSeries& s : data::GenerateCategory(c, gopts)) {
+      unseen.push_back(std::move(s));
     }
   }
   std::vector<ts::TimeSeries> probes = delta;
@@ -366,6 +409,21 @@ TEST(TrainingGoldenTest, TrainAppendAndTrainFromLabeledArePinned) {
     ExecContext append_ctx(threads);
     ASSERT_TRUE(engine->AppendSeries(delta, update, append_ctx).ok());
     ExpectDigest(DigestOf(*engine, probes), kAppended);
+
+    ExecContext unseen_ctx(threads);
+    ASSERT_TRUE(engine->AppendSeries(unseen, update, unseen_ctx).ok());
+    ExpectDigest(DigestOf(*engine, probes), kAppendedUnseen);
+    const std::uint64_t splits =
+        unseen_ctx.metrics().Snapshot().Counter("update.splits");
+    EXPECT_GE(splits, 2u);
+    const std::vector<ClusterGrowthState>& grown =
+        engine->growth_state().clusters;
+    ASSERT_GE(grown.size(), splits);
+    bool multi_member_split = false;
+    for (std::size_t k = grown.size() - splits; k < grown.size(); ++k) {
+      if (grown[k].member_count > 2) multi_member_split = true;
+    }
+    EXPECT_TRUE(multi_member_split);
 
     ExecContext labeled_ctx(threads);
     Result<Adarts> from_labeled = Adarts::TrainFromLabeled(
