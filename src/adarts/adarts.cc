@@ -15,6 +15,30 @@
 
 namespace adarts {
 
+namespace {
+
+/// Growth bookkeeping of each non-empty cluster of a labeled clustering of
+/// `series`: its label, member count and representative series, appended
+/// to `out` in cluster order.
+void AppendClusterGrowth(const cluster::Clustering& clustering,
+                         const labeling::LabelingResult& labels,
+                         const std::vector<ts::TimeSeries>& series,
+                         std::vector<ClusterGrowthState>* out) {
+  for (std::size_t k = 0; k < clustering.clusters.size(); ++k) {
+    const std::vector<std::size_t>& members = clustering.clusters[k];
+    if (members.empty()) continue;
+    ClusterGrowthState c;
+    c.label = labels.labels[members[0]];
+    c.member_count = members.size();
+    for (std::size_t idx : labels.cluster_representatives[k]) {
+      c.representatives.push_back(series[idx]);
+    }
+    out->push_back(std::move(c));
+  }
+}
+
+}  // namespace
+
 Adarts::Adarts(features::FeatureExtractor extractor,
                automl::VotingRecommender recommender,
                automl::ModelRaceReport report,
@@ -87,20 +111,8 @@ Result<Adarts> Adarts::Train(const std::vector<ts::TimeSeries>& corpus,
   // next race.
   GrowthState growth;
   growth.present = true;
-  const auto& cluster_lists = clusters.clustering.clusters;
-  growth.clusters.reserve(cluster_lists.size());
-  for (std::size_t k = 0; k < cluster_lists.size(); ++k) {
-    const std::vector<std::size_t>& members = cluster_lists[k];
-    if (members.empty()) continue;
-    ClusterGrowthState c;
-    c.label = labeled.labels.labels[members[0]];
-    c.member_count = members.size();
-    const std::vector<std::size_t>& reps =
-        labeled.labels.cluster_representatives[k];
-    c.representatives.reserve(reps.size());
-    for (std::size_t idx : reps) c.representatives.push_back(corpus[idx]);
-    growth.clusters.push_back(std::move(c));
-  }
+  AppendClusterGrowth(clusters.clustering, labeled.labels, corpus,
+                      &growth.clusters);
   growth.warm_start.elites = race.report.elites;
 
   Adarts engine(std::move(labeled.extractor), std::move(committee.recommender),
@@ -148,9 +160,9 @@ Status Adarts::AppendSeries(const std::vector<ts::TimeSeries>& delta,
   }
   const std::size_t original_clusters = reps.size();
   std::vector<int> delta_labels(delta.size(), 0);
-  // Delta indices per freshly opened cluster, in creation order (cluster
-  // index = original_clusters + position).
-  std::vector<std::vector<std::size_t>> new_cluster_members;
+  // The clusters this append opens, as delta indices in creation order
+  // (cluster index = original_clusters + position).
+  cluster::Clustering fresh;
   std::uint64_t assigned_count = 0;
   {
     StageTimer assign_timer(&ctx.metrics(), "update.assign_seconds");
@@ -165,7 +177,7 @@ Status Adarts::AppendSeries(const std::vector<ts::TimeSeries>& delta,
                           ": " + assignment.status().message());
       }
       if (assignment->split) {
-        new_cluster_members.push_back({i});
+        fresh.clusters.push_back({i});
         reps.push_back({delta[i]});
         continue;
       }
@@ -177,34 +189,24 @@ Status Adarts::AppendSeries(const std::vector<ts::TimeSeries>& delta,
       } else {
         // Joined a cluster opened earlier in this append; it is labeled as
         // one unit in the next phase.
-        new_cluster_members[j - original_clusters].push_back(i);
+        fresh.clusters[j - original_clusters].push_back(i);
       }
     }
   }
 
-  // --- (2) Label the freshly opened clusters in isolation — the only
-  // imputation benchmarking an append pays for. Assigned series inherited
-  // their cluster's label at zero cost above.
+  // --- (2) Label the freshly opened clusters the way Train labels its
+  // clusters — the only imputation benchmarking an append pays for.
+  // Assigned series inherited their cluster's label at zero cost above.
   ADARTS_FAILPOINT("adarts.update.label");
   {
     StageTimer label_timer(&ctx.metrics(), "update.label_seconds");
-    for (const std::vector<std::size_t>& members : new_cluster_members) {
-      std::vector<ts::TimeSeries> cluster_set;
-      cluster_set.reserve(members.size());
-      for (std::size_t i : members) cluster_set.push_back(delta[i]);
-      ADARTS_ASSIGN_OR_RETURN(
-          labeling::ClusterLabel labeled,
-          labeling::LabelSingleCluster(cluster_set, label_options, ctx));
-      ClusterGrowthState c;
-      c.label = labeled.label;
-      c.member_count = members.size();
-      c.representatives.reserve(labeled.representatives.size());
-      for (std::size_t idx : labeled.representatives) {
-        c.representatives.push_back(cluster_set[idx]);
-      }
-      new_growth.clusters.push_back(std::move(c));
-      for (std::size_t i : members) delta_labels[i] = labeled.label;
+    ADARTS_ASSIGN_OR_RETURN(
+        labeling::LabelingResult labeled,
+        labeling::LabelByClusters(delta, fresh, label_options, ctx));
+    for (const std::vector<std::size_t>& members : fresh.clusters) {
+      for (std::size_t i : members) delta_labels[i] = labeled.labels[i];
     }
+    AppendClusterGrowth(fresh, labeled, delta, &new_growth.clusters);
   }
 
   // --- (3) Features for the delta only, masked exactly like training.
@@ -252,7 +254,7 @@ Status Adarts::AppendSeries(const std::vector<ts::TimeSeries>& delta,
   ++engine_version_;
   Metrics& metrics = ctx.metrics();
   metrics.Increment("update.assigned", assigned_count);
-  metrics.Increment("update.splits", new_cluster_members.size());
+  metrics.Increment("update.splits", fresh.NumClusters());
   metrics.Increment("update.race_warm_hits", warm_hits);
   train_report_.stages = metrics.Snapshot();
   return Status::OK();

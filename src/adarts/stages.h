@@ -22,9 +22,11 @@ namespace adarts {
 /// training `Rng` exactly as the monolithic implementation did, so a Train
 /// rebuilt on stages is bit-identical to earlier builds. The stages exist
 /// so partial pipelines can run on their own: `Adarts::AppendSeries` reuses
-/// `RaceStage`/`CommitteeStage` (with cheaper assignment and labeling
-/// front-ends) instead of re-running the full pipeline, and tests can
-/// exercise one phase without paying for the rest.
+/// `RaceStage`/`CommitteeStage` and `ExtractMaskedFeatures` behind a
+/// cheaper assignment front-end, and labels the clusters it opens with the
+/// `labeling::LabelByClusters` call `LabelStage` makes, instead of
+/// re-running the full pipeline; tests can exercise one phase without
+/// paying for the rest.
 ///
 /// Every stage runs on `ctx`'s shared pool, polls its cancellation token,
 /// and owns its span in `ctx`'s metrics (`train.clustering_seconds`,

@@ -23,15 +23,16 @@ struct Clustering {
 };
 
 /// Pairwise Pearson correlation matrix of a series set (symmetric, unit
-/// diagonal). Train computes it twice over the whole corpus: in
-/// `IncrementalClustering` for the split decisions, then again in
-/// `labeling::LabelByClusters` for representative selection. The
-/// n*(n-1)/2 upper-triangle pairs fan out over `ctx`'s shared pool (serial
-/// contexts never construct one); each task owns exactly one pair index k,
-/// decoded to (i, j) with `PairFromIndex`, and writes only the two mirrored
-/// slots (i, j) / (j, i) — the matrix is bit-identical for every thread
-/// count. The wall-clock accumulates into the `cluster.correlation_seconds`
-/// span of `ctx`'s metrics.
+/// diagonal). Train computes it once over the whole corpus, in
+/// `IncrementalClustering` for the split decisions;
+/// `labeling::LabelByClusters` computes each cluster's own block for
+/// representative selection. The n*(n-1)/2 upper-triangle pairs fan out
+/// over `ctx`'s shared pool (serial contexts never construct one); each
+/// task owns exactly one pair index k, decoded to (i, j) with
+/// `PairFromIndex`, and writes only the two mirrored slots (i, j) / (j, i)
+/// — the matrix is bit-identical for every thread count. The wall-clock
+/// accumulates into the `cluster.correlation_seconds` span of `ctx`'s
+/// metrics.
 la::Matrix PairwiseCorrelationMatrix(const std::vector<ts::TimeSeries>& series,
                                      ExecContext& ctx);
 

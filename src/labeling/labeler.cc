@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "common/exec_context.h"
 #include "common/rng.h"
@@ -85,31 +86,6 @@ int ArgMinRow(const la::Matrix& m, std::size_t row) {
   return best;
 }
 
-/// The per-cluster core shared by LabelByClusters and LabelSingleCluster:
-/// masks the representative slots of `cluster_set` in place, scores the
-/// pool over the masked set, and returns each algorithm's mean RMSE across
-/// the representatives. Consumes `rng` exactly as the pre-refactor inline
-/// body did (one mask draw per representative, in order), so cluster-path
-/// labels are bit-identical to earlier builds.
-Result<la::Vector> ScoreClusterRepresentatives(
-    std::vector<ts::TimeSeries>* cluster_set,
-    const std::vector<std::size_t>& local_reps,
-    const std::vector<impute::Algorithm>& pool, const LabelingOptions& options,
-    Rng* rng, ExecContext& ctx, std::size_t* imputation_runs) {
-  ADARTS_RETURN_NOT_OK(MaskSeries(options, local_reps, rng, cluster_set));
-  la::Matrix rep_rmse(local_reps.size(), pool.size());
-  ADARTS_RETURN_NOT_OK(ScoreAlgorithms(*cluster_set, local_reps, pool, ctx,
-                                       &rep_rmse, imputation_runs));
-  la::Vector mean_rmse(pool.size(), 0.0);
-  for (std::size_t a = 0; a < pool.size(); ++a) {
-    for (std::size_t r = 0; r < local_reps.size(); ++r) {
-      mean_rmse[a] += rep_rmse(r, a);
-    }
-    mean_rmse[a] /= static_cast<double>(local_reps.size());
-  }
-  return mean_rmse;
-}
-
 }  // namespace
 
 Result<LabelingResult> LabelSeriesFull(const std::vector<ts::TimeSeries>& series,
@@ -144,10 +120,6 @@ Result<LabelingResult> LabelByClusters(const std::vector<ts::TimeSeries>& series
   if (series.empty()) return Status::InvalidArgument("no series to label");
   const std::vector<impute::Algorithm> pool = ResolvePool(options);
   Rng rng(options.seed);
-  // The representative-selection matrix reuses the context's pool: pairs fan
-  // out before the per-cluster benchmark loop begins.
-  const la::Matrix corr = cluster::PairwiseCorrelationMatrix(series, ctx);
-  ADARTS_RETURN_NOT_OK(ctx.CheckCancelled("LabelByClusters correlation"));
 
   LabelingResult result;
   result.algorithms = pool;
@@ -155,33 +127,39 @@ Result<LabelingResult> LabelByClusters(const std::vector<ts::TimeSeries>& series
   result.rmse = la::Matrix(series.size(), pool.size());
 
   for (const auto& members : clustering.clusters) {
-    if (members.empty()) {
-      // Keep the representative list parallel to the cluster list.
-      result.cluster_representatives.emplace_back();
-      continue;
-    }
-    const std::vector<std::size_t> reps = ClusterRepresentatives(
-        members, corr, options.representatives_per_cluster);
-    result.cluster_representatives.push_back(reps);
+    std::vector<std::size_t>& reps =
+        result.cluster_representatives.emplace_back();
+    if (members.empty()) continue;  // keeps the lists parallel
 
     // The benchmark runs on the cluster's series only (the context the
-    // cross-series imputers exploit).
+    // cross-series imputers exploit), and the cluster's own correlation
+    // block picks its representatives.
     std::vector<ts::TimeSeries> cluster_set;
     cluster_set.reserve(members.size());
-    std::vector<std::size_t> local_reps;
-    for (std::size_t local = 0; local < members.size(); ++local) {
-      cluster_set.push_back(series[members[local]]);
-      if (std::find(reps.begin(), reps.end(), members[local]) != reps.end()) {
-        local_reps.push_back(local);
-      }
-    }
-    ADARTS_ASSIGN_OR_RETURN(
-        la::Vector mean_rmse,
-        ScoreClusterRepresentatives(&cluster_set, local_reps, pool, options,
-                                    &rng, ctx, &result.imputation_runs));
+    for (std::size_t i : members) cluster_set.push_back(series[i]);
+    const la::Matrix corr =
+        cluster::PairwiseCorrelationMatrix(cluster_set, ctx);
+    ADARTS_RETURN_NOT_OK(ctx.CheckCancelled("LabelByClusters correlation"));
+    std::vector<std::size_t> local_reps =
+        ClusterRepresentatives(corr, options.representatives_per_cluster);
+    for (std::size_t local : local_reps) reps.push_back(members[local]);
+
+    // Representatives are masked and scored in member order.
+    std::sort(local_reps.begin(), local_reps.end());
+    ADARTS_RETURN_NOT_OK(MaskSeries(options, local_reps, &rng, &cluster_set));
+    la::Matrix rep_rmse(local_reps.size(), pool.size());
+    ADARTS_RETURN_NOT_OK(ScoreAlgorithms(cluster_set, local_reps, pool, ctx,
+                                         &rep_rmse, &result.imputation_runs));
 
     // The cluster label is the algorithm with the lowest mean RMSE across
     // the representatives; scores propagate to every member.
+    la::Vector mean_rmse(pool.size(), 0.0);
+    for (std::size_t a = 0; a < pool.size(); ++a) {
+      for (std::size_t r = 0; r < local_reps.size(); ++r) {
+        mean_rmse[a] += rep_rmse(r, a);
+      }
+      mean_rmse[a] /= static_cast<double>(local_reps.size());
+    }
     const int label = static_cast<int>(
         std::min_element(mean_rmse.begin(), mean_rmse.end()) -
         mean_rmse.begin());
@@ -195,64 +173,28 @@ Result<LabelingResult> LabelByClusters(const std::vector<ts::TimeSeries>& series
   return result;
 }
 
-std::vector<std::size_t> ClusterRepresentatives(
-    const std::vector<std::size_t>& members, const la::Matrix& corr,
-    std::size_t count) {
+std::vector<std::size_t> ClusterRepresentatives(const la::Matrix& corr,
+                                                std::size_t count) {
   count = std::max<std::size_t>(count, 1);
-  if (members.size() <= count) return members;
-  // Total absolute correlation of each member to the rest of the cluster.
+  const std::size_t m = corr.rows();
+  std::vector<std::size_t> reps(m);
+  std::iota(reps.begin(), reps.end(), std::size_t{0});
+  if (m <= count) return reps;
+  // Total absolute correlation of each series to the rest of the set.
   std::vector<std::pair<double, std::size_t>> scored;
-  scored.reserve(members.size());
-  for (std::size_t i : members) {
+  scored.reserve(m);
+  for (std::size_t i = 0; i < m; ++i) {
     double total = 0.0;
-    for (std::size_t j : members) {
+    for (std::size_t j = 0; j < m; ++j) {
       if (i != j) total += std::fabs(corr(i, j));
     }
     scored.emplace_back(total, i);
   }
   std::sort(scored.begin(), scored.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
-  std::vector<std::size_t> reps;
-  for (std::size_t r = 0; r < count; ++r) reps.push_back(scored[r].second);
+  reps.resize(count);
+  for (std::size_t r = 0; r < count; ++r) reps[r] = scored[r].second;
   return reps;
-}
-
-Result<ClusterLabel> LabelSingleCluster(
-    const std::vector<ts::TimeSeries>& cluster_set,
-    const LabelingOptions& options, ExecContext& ctx) {
-  if (cluster_set.empty()) {
-    return Status::InvalidArgument("no series in cluster to label");
-  }
-  const std::vector<impute::Algorithm> pool = ResolvePool(options);
-  Rng rng(options.seed);
-
-  ClusterLabel out;
-  const std::size_t count =
-      std::max<std::size_t>(options.representatives_per_cluster, 1);
-  if (cluster_set.size() <= count) {
-    out.representatives.resize(cluster_set.size());
-    for (std::size_t i = 0; i < cluster_set.size(); ++i) {
-      out.representatives[i] = i;
-    }
-  } else {
-    // Medoid selection needs the intra-cluster correlation matrix; the
-    // cluster is small (append deltas), so this stays cheap.
-    const la::Matrix corr = cluster::PairwiseCorrelationMatrix(cluster_set, ctx);
-    ADARTS_RETURN_NOT_OK(ctx.CheckCancelled("LabelSingleCluster correlation"));
-    std::vector<std::size_t> members(cluster_set.size());
-    for (std::size_t i = 0; i < cluster_set.size(); ++i) members[i] = i;
-    out.representatives = ClusterRepresentatives(members, corr, count);
-  }
-
-  std::vector<ts::TimeSeries> masked = cluster_set;
-  ADARTS_ASSIGN_OR_RETURN(
-      out.mean_rmse,
-      ScoreClusterRepresentatives(&masked, out.representatives, pool, options,
-                                  &rng, ctx, &out.imputation_runs));
-  out.label = static_cast<int>(
-      std::min_element(out.mean_rmse.begin(), out.mean_rmse.end()) -
-      out.mean_rmse.begin());
-  return out;
 }
 
 }  // namespace adarts::labeling

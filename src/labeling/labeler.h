@@ -38,10 +38,11 @@ struct LabelingResult {
   std::size_t imputation_runs = 0;
   /// The algorithm pool the label indices refer to.
   std::vector<impute::Algorithm> algorithms;
-  /// Cluster path only: the representative series indices benchmarked for
-  /// each cluster, parallel to the clustering's cluster list (empty in the
-  /// exhaustive path). The engine persists the representatives so appended
-  /// series can be assigned to clusters without the original corpus.
+  /// Cluster path only: the representatives benchmarked for each cluster,
+  /// as indices into the labeled `series` in medoid order (best first),
+  /// parallel to the clustering's cluster list (empty in the exhaustive
+  /// path). The engine persists the representatives so appended series can
+  /// be assigned to clusters without the original corpus.
   std::vector<std::vector<std::size_t>> cluster_representatives;
 };
 
@@ -55,51 +56,30 @@ Result<LabelingResult> LabelSeriesFull(const std::vector<ts::TimeSeries>& series
                                        const LabelingOptions& options,
                                        ExecContext& ctx);
 
-/// Fast labeling (Fig. 2, step 1): benchmarks only cluster representatives
-/// (correlation medoids) and propagates each cluster's winning algorithm to
-/// all members. Costs |clusters| * reps * |algorithms| runs instead of
-/// |series| * |algorithms|. Same context contract as `LabelSeriesFull`
-/// (shared pool, cancellation between clusters, `label.imputation_runs`
-/// metrics); the representative-selection correlation matrix runs on the
-/// same pool.
+/// Fast labeling (Fig. 2, step 1), the one cluster-labeling path: Train
+/// labels its corpus clustering with it, and `Adarts::AppendSeries` the
+/// clusters an append opens. Each non-empty cluster's members are copied
+/// into a set whose own correlation block, computed on `ctx`'s pool, picks
+/// its `representatives_per_cluster` correlation medoids. The medoids are
+/// masked in member order, every pool algorithm runs once over the set,
+/// and all members get the algorithm with the lowest mean RMSE across the
+/// medoids. One `Rng(options.seed)` draws the masks of every cluster in
+/// cluster order. Costs |clusters| * |algorithms| imputation runs (the
+/// naive per-series cost is |series| * |algorithms|) and sum(m_k^2)
+/// correlation pairs over clusters of m_k members, not n^2 over the whole
+/// set. Same context contract as `LabelSeriesFull` (shared pool,
+/// cancellation between clusters, `label.imputation_runs` metrics).
 Result<LabelingResult> LabelByClusters(const std::vector<ts::TimeSeries>& series,
                                        const cluster::Clustering& clustering,
                                        const LabelingOptions& options,
                                        ExecContext& ctx);
 
-/// Correlation medoids of a cluster: the `count` members with the highest
-/// total absolute correlation to the rest of the cluster.
-std::vector<std::size_t> ClusterRepresentatives(
-    const std::vector<std::size_t>& members, const la::Matrix& corr,
-    std::size_t count);
-
-/// Label of one cluster benchmarked in isolation (the incremental append
-/// path: a freshly split cluster is labeled without touching the rest of
-/// the corpus).
-struct ClusterLabel {
-  /// Index into the resolved pool of the winning algorithm.
-  int label = 0;
-  /// Mean RMSE of each pool algorithm across the representatives.
-  la::Vector mean_rmse;
-  /// The representative indices (into the cluster set) that were scored.
-  std::vector<std::size_t> representatives;
-  /// Algorithm executions this labeling cost.
-  std::size_t imputation_runs = 0;
-};
-
-/// Labels a standalone cluster by the procedure of one `LabelByClusters`
-/// iteration: representatives are selected by correlation medoid within
-/// `cluster_set`, masked with the configured pattern, scored against the
-/// pool, and the argmin-mean-RMSE algorithm wins. Singleton clusters score
-/// their only member. The masks differ from that iteration's: this draws
-/// from a fresh `Rng(options.seed)` and masks representatives in medoid
-/// order, while `LabelByClusters` draws from one `Rng` running across all
-/// clusters and masks in ascending member order. Used by
-/// `Adarts::AppendSeries` to label freshly split clusters — cost is
-/// `reps * |algorithms|` runs, independent of the corpus size.
-Result<ClusterLabel> LabelSingleCluster(
-    const std::vector<ts::TimeSeries>& cluster_set,
-    const LabelingOptions& options, ExecContext& ctx);
+/// Correlation medoids of a series set, from the set's correlation matrix:
+/// the `count` (at least 1) indices with the highest total absolute
+/// correlation to the rest of the set, best first, or every index in order
+/// when the set has no more than `count` series.
+std::vector<std::size_t> ClusterRepresentatives(const la::Matrix& corr,
+                                                std::size_t count);
 
 }  // namespace adarts::labeling
 

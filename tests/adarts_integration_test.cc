@@ -295,29 +295,33 @@ const TrainingDigest kAppendedUnseen{
     .labels = {
         7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5,
         5, 5, 6, 6, 7, 6, 11, 11, 11, 5, 6, 6, 6, 11, 7, 7, 7, 7, 5, 5, 5, 6,
-        11, 12, 5, 5, 5, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6},
+        11, 12, 5, 5, 5, 5, 5, 5, 5, 5, 7, 7, 4, 4, 7, 4, 7, 7},
     .features_fnv = 0x53d522179b35303cULL,
-    .elites = {"ridge(alpha=0.693722)+minmax", "ridge(alpha=0.693722)+l2norm"},
-    .elite_scores_fnv = {0x31e1212a8101ee85ULL, 0xc6402c71ab3f42e0ULL},
+    .elites = {
+        "ridge(alpha=0.693722)+minmax",
+        "ridge(alpha=0.693722)+minmax",
+        "ridge(alpha=0.693722)+l2norm"},
+    .elite_scores_fnv = {0xe53a4923b09a210dULL, 0xc76fa426b55ead69ULL,
+                         0xb53e6b8ac6f1861cULL},
     .committee_size = 2,
     .rankings = {
-        "tenmf,dynammo,trmf,mean,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
+        "tenmf,dynammo,mean,grouse,cdrec,svd_impute,soft_impute,svt,rosl,stmvl,"
+        "tkcm,linear_interp,knn_impute,trmf,iim",
+        "tenmf,dynammo,mean,grouse,trmf,cdrec,svd_impute,soft_impute,svt,rosl,"
         "stmvl,tkcm,linear_interp,knn_impute,iim",
-        "tenmf,dynammo,trmf,mean,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
-        "stmvl,tkcm,linear_interp,knn_impute,iim",
-        "tenmf,mean,iim,trmf,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
-        "stmvl,tkcm,linear_interp,knn_impute,dynammo",
-        "dynammo,trmf,iim,tenmf,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
-        "stmvl,tkcm,linear_interp,knn_impute,mean",
-        "dynammo,trmf,iim,tenmf,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
-        "stmvl,tkcm,linear_interp,knn_impute,mean",
-        "dynammo,trmf,iim,tenmf,cdrec,svd_impute,soft_impute,svt,grouse,rosl,"
-        "stmvl,tkcm,linear_interp,knn_impute,mean",
-        "trmf,iim,dynammo,mean,tenmf,cdrec,svd_impute,soft_impute,svt,grouse,"
-        "rosl,stmvl,tkcm,linear_interp,knn_impute",
-        "trmf,dynammo,tenmf,iim,mean,cdrec,svd_impute,soft_impute,svt,grouse,"
-        "rosl,stmvl,tkcm,linear_interp,knn_impute",
-        "trmf,iim,tenmf,mean,dynammo,cdrec,svd_impute,soft_impute,svt,grouse,"
+        "tenmf,trmf,iim,mean,cdrec,svd_impute,soft_impute,svt,rosl,stmvl,tkcm,"
+        "linear_interp,knn_impute,grouse,dynammo",
+        "dynammo,iim,grouse,cdrec,svd_impute,soft_impute,svt,rosl,stmvl,tkcm,"
+        "linear_interp,knn_impute,tenmf,trmf,mean",
+        "dynammo,iim,cdrec,svd_impute,soft_impute,svt,rosl,stmvl,tkcm,"
+        "linear_interp,knn_impute,grouse,trmf,mean,tenmf",
+        "dynammo,tenmf,trmf,iim,cdrec,svd_impute,soft_impute,svt,rosl,stmvl,"
+        "tkcm,linear_interp,knn_impute,grouse,mean",
+        "trmf,iim,dynammo,mean,tenmf,cdrec,svd_impute,soft_impute,svt,rosl,"
+        "stmvl,tkcm,linear_interp,knn_impute,grouse",
+        "trmf,tenmf,dynammo,iim,mean,cdrec,svd_impute,soft_impute,svt,rosl,"
+        "stmvl,tkcm,linear_interp,knn_impute,grouse",
+        "trmf,tenmf,iim,mean,grouse,dynammo,cdrec,svd_impute,soft_impute,svt,"
         "rosl,stmvl,tkcm,linear_interp,knn_impute"},
 };
 

@@ -203,14 +203,13 @@ TEST(ClusterRepresentativesTest, PicksHighestTotalCorrelation) {
   const auto series = MakeCorrelatedSet(4, 64);
   ExecContext ctx(1);
   const la::Matrix corr = cluster::PairwiseCorrelationMatrix(series, ctx);
-  const std::vector<std::size_t> members = {0, 1, 2, 3};
-  const auto reps = ClusterRepresentatives(members, corr, 2);
+  const auto reps = ClusterRepresentatives(corr, 2);
   EXPECT_EQ(reps.size(), 2u);
   for (std::size_t r : reps) {
     EXPECT_LT(r, 4u);
   }
   // Requesting more reps than members returns all members.
-  EXPECT_EQ(ClusterRepresentatives(members, corr, 10).size(), 4u);
+  EXPECT_EQ(ClusterRepresentatives(corr, 10).size(), 4u);
 }
 
 TEST(LabelingTest, EmptyInputRejected) {
