@@ -60,21 +60,20 @@ Result<std::vector<ts::TimeSeries>> KnnImputer::Fit(
         if (m.IsMissing(t, b)) continue;
         const double w = std::fabs(corr(j, b));
         if (w < 1e-6) continue;
-        // Align neighbour values to this series' scale via z-mapping.
-        const double zb = m.values(t, b);
-        num += w * zb;
+        // The neighbour's raw value, on its own scale and sign.
+        num += w * m.values(t, b);
         den += w;
       }
       if (den > 0.0) {
-        // Map from neighbour scale to target scale using observed moments.
         result(t, j) = num / den;
       }
       // else: keep the interpolation pre-fill.
     }
   }
 
-  // Rescale: kNN mixes scales across series, so re-standardise each imputed
-  // column segmentwise to the target series' observed moments.
+  // Rescale: the neighbours' raw values can sit on another scale, so a
+  // column whose imputed points drift far from its observed moments is
+  // re-standardised to them as a whole.
   for (std::size_t j = 0; j < n_series; ++j) {
     const double target_mean = set[j].ObservedMean();
     double target_sd = set[j].ObservedStdDev();
@@ -87,8 +86,8 @@ Result<std::vector<ts::TimeSeries>> KnnImputer::Fit(
     const double im = la::Mean(imputed_vals);
     const double isd = la::StdDev(imputed_vals);
     if (isd <= 1e-9) continue;
-    // Only re-centre when scales are wildly off; a gentle blend avoids
-    // destroying locally-correct neighbours.
+    // Only when the imputed mean is more than 2 observed SDs off; closer
+    // columns keep the neighbour average unchanged.
     if (std::fabs(im - target_mean) > 2.0 * target_sd) {
       for (std::size_t t = 0; t < n_time; ++t) {
         if (m.IsMissing(t, j)) {

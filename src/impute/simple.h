@@ -29,9 +29,15 @@ class LinearInterpImputer final : public Imputer {
       FitDiagnostics* diagnostics) const override;
 };
 
-/// For each missing point, averages the k most-correlated other series at
-/// that timestamp (weighted by |correlation|); falls back to interpolation
-/// when no correlated neighbour is observed there.
+/// For each missing point, averages the raw values at that timestamp of
+/// the series' k most correlated neighbours (by |correlation| of the
+/// interpolated fill), skipping those missing there, weighted by
+/// |correlation|. The values are neither rescaled nor sign-flipped, so an
+/// anti-correlated neighbour pulls the fill its own way. A point with no
+/// such neighbour keeps the interpolation pre-fill. Afterwards a series'
+/// imputed points are re-standardised to its observed mean and SD, but
+/// only when their mean lies more than 2 observed SDs from the observed
+/// mean.
 class KnnImputer final : public Imputer {
  public:
   explicit KnnImputer(std::size_t k = 3) : k_(k) {}
