@@ -21,16 +21,16 @@ namespace {
 /// `series`: its label, member count and representative series, appended
 /// to `out` in cluster order.
 void AppendClusterGrowth(const cluster::Clustering& clustering,
-                         const labeling::LabelingResult& labels,
+                         const labeling::LabelingResult& labeled,
                          const std::vector<ts::TimeSeries>& series,
                          std::vector<ClusterGrowthState>* out) {
   for (std::size_t k = 0; k < clustering.clusters.size(); ++k) {
     const std::vector<std::size_t>& members = clustering.clusters[k];
     if (members.empty()) continue;
     ClusterGrowthState c;
-    c.label = labels.labels[members[0]];
+    c.label = labeled.labels[members[0]];
     c.member_count = members.size();
-    for (std::size_t idx : labels.cluster_representatives[k]) {
+    for (std::size_t idx : labeled.cluster_representatives[k]) {
       c.representatives.push_back(series[idx]);
     }
     out->push_back(std::move(c));

@@ -172,8 +172,8 @@ class Adarts {
   /// Incrementally grows the training corpus: each series of `delta` is
   /// assigned to an existing cluster (inheriting its label at zero
   /// imputation cost) or split off into a fresh cluster; the clusters the
-  /// append opens are labeled by one `labeling::LabelByClusters` call, the
-  /// path Train labels its clusters with, which reads only the delta;
+  /// append opens are labeled, over the delta only, by one
+  /// `labeling::LabelByClusters` call, as Train labels its clusters;
   /// features are extracted for the delta only; and the
   /// committee is rebuilt by a ModelRace warm-started from the engine's
   /// surviving elites. Orders of magnitude cheaper than a full retrain —

@@ -22,7 +22,7 @@ std::vector<impute::Algorithm> ResolvePool(const LabelingOptions& options) {
 }
 
 /// Injects the configured missing pattern into the selected series of the
-/// set (each with its own random offset) and returns the masked copies.
+/// set in place, in `targets` order, each at its own random offset.
 Status MaskSeries(const LabelingOptions& options,
                   const std::vector<std::size_t>& targets, Rng* rng,
                   std::vector<ts::TimeSeries>* set) {
@@ -144,7 +144,8 @@ Result<LabelingResult> LabelByClusters(const std::vector<ts::TimeSeries>& series
         ClusterRepresentatives(corr, options.representatives_per_cluster);
     for (std::size_t local : local_reps) reps.push_back(members[local]);
 
-    // Representatives are masked and scored in member order.
+    // Representatives are masked and scored in member order, which fixes
+    // the draw of the shared `rng` that each one takes.
     std::sort(local_reps.begin(), local_reps.end());
     ADARTS_RETURN_NOT_OK(MaskSeries(options, local_reps, &rng, &cluster_set));
     la::Matrix rep_rmse(local_reps.size(), pool.size());

@@ -30,8 +30,8 @@ struct LabelingResult {
   /// Per-series label: index into `algorithms` of the winning imputer.
   std::vector<int> labels;
   /// Per-series RMSE of each algorithm (rows = series, cols = algorithms).
-  /// For cluster labeling, rows repeat the representative's scores across
-  /// the cluster.
+  /// For cluster labeling, every member's row holds its cluster's mean RMSE
+  /// across the representatives.
   la::Matrix rmse;
   /// Number of algorithm executions performed — the cost the clustering
   /// step amortises (Section VI motivation).
