@@ -44,9 +44,10 @@ void ResetShutdownLatchForTest();
 Status InstallReloadHandler();
 
 /// Consumes one pending reload request: true exactly once per SIGHUP since
-/// the last call. The daemon polls this after each pipe wake and triggers
-/// `Server::RequestReload` on true; the outcome lands in the swap log and
-/// in the server's `serve.reload.ok` / `serve.reload.failed` counters.
+/// the last call. The daemon polls this after each pipe wake and runs
+/// `Server::RequestReload` on true; the outcome is returned, and also lands
+/// in the swap log and the server's `serve.reload.ok` / `serve.reload.failed`
+/// counters.
 bool ConsumeReloadRequest();
 
 }  // namespace adarts

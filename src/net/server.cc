@@ -102,7 +102,6 @@ Server::Server(std::shared_ptr<const Adarts> engine, ServeOptions options)
                 options.model_path.empty() ? "<startup>" : options.model_path),
       options_(std::move(options)),
       queue_(options_.queue_capacity),
-      reload_queue_(1),
       counters_{
           .conn_accepted = metrics_.counter("serve.conn_accepted"),
           .conn_refused = metrics_.counter("serve.conn_refused"),
@@ -157,7 +156,6 @@ Status Server::Start() {
   for (std::size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
-  reload_thread_ = std::thread([this] { ReloadLoop(); });
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
 }
@@ -182,7 +180,8 @@ Status Server::Wait() {
   listener_.Close();
 
   // Phase 2: stop reading new requests. SHUT_RD wakes every reader with a
-  // clean EOF while keeping the write side open for in-flight replies.
+  // clean EOF while keeping the write side open for in-flight replies. A
+  // reader running a kReload finishes it and writes its reply first.
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (const auto& conn : conns_) conn->sock.ShutdownRead();
@@ -193,15 +192,11 @@ Status Server::Wait() {
   }
 
   // Phase 3: everything admitted before this line is still answered — the
-  // queue rejects new work but drains existing items to the workers. The
-  // reload queue gets the same contract: a reload admitted before the drain
-  // still completes (and its reply is written) before the write sides close.
+  // queue rejects new work but drains existing items to the workers.
   queue_.Close();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
-  reload_queue_.Close();
-  if (reload_thread_.joinable()) reload_thread_.join();
 
   // Phase 4: all replies are written; now the write sides may go.
   {
@@ -317,21 +312,22 @@ void Server::ReaderLoop(std::shared_ptr<ConnState> conn) {
     }
 
     if (request->type == MessageType::kReload) {
-      // Reloads bypass the admission queue: the single reload thread
-      // validates + swaps, then answers on this connection. Capacity 1
-      // means a concurrent second reload is refused, not queued.
-      const std::uint64_t reload_id = request->id;
-      ReloadJob job;
-      job.conn = conn;
-      job.request = std::move(request).value();
-      if (!reload_queue_.TryPush(std::move(job))) {
-        Response response;
-        response.type = MessageType::kReload;
-        response.id = reload_id;
-        response.code = StatusCode::kUnavailable;
-        response.message = "reload already in progress, retry later";
-        SendResponse(conn, response);
+      // Reloads bypass the admission queue: this reader validates and swaps,
+      // then answers. A reload that finds another in flight is refused, not
+      // queued.
+      const Status outcome = Reload(request->text);
+      Response response;
+      response.type = MessageType::kReload;
+      response.id = request->id;
+      if (!outcome.ok()) {
+        response.code = outcome.code();
+        response.message = outcome.message();
       }
+      // On success: the freshly swapped version. On failure: the version
+      // still serving — proof to the caller that the bad snapshot changed
+      // nothing.
+      response.engine_version = registry_.ActiveVersion();
+      SendResponse(conn, response);
       continue;
     }
 
@@ -443,7 +439,7 @@ void Server::Execute(ExecContext& ctx, const Adarts& engine,
     case MessageType::kPing:
       return;
     case MessageType::kReload:
-      // Routed to the reload thread in ReaderLoop; reaching here is a bug.
+      // Run by the reader in ReaderLoop; reaching here is a bug.
       response->code = StatusCode::kInternal;
       response->message = "reload request reached a worker";
       return;
@@ -492,36 +488,22 @@ void Server::Execute(ExecContext& ctx, const Adarts& engine,
   response->message = "unhandled request type";
 }
 
-void Server::ReloadLoop() {
-  Tracer::SetCurrentThreadName("serve-reload");
-  // A dedicated serial context: canary checks never contend with workers.
-  ExecContext ctx(1);
-  ReloadJob job;
-  while (reload_queue_.Pop(&job)) {
-    const Status outcome = DoReload(ctx, job.request.text);
-    if (outcome.ok()) {
-      counters_.reload_ok->Increment();
-    } else {
-      counters_.reload_failed->Increment();
-      LogWarn("serve: reload rejected, prior engine stays live: " +
-              outcome.ToString());
-    }
-    if (job.conn != nullptr) {
-      Response response;
-      response.type = MessageType::kReload;
-      response.id = job.request.id;
-      if (!outcome.ok()) {
-        response.code = outcome.code();
-        response.message = outcome.message();
-      }
-      // On success: the freshly swapped version. On failure: the version
-      // still serving — proof to the caller that the bad snapshot changed
-      // nothing.
-      response.engine_version = registry_.ActiveVersion();
-      SendResponse(job.conn, response);
-    }
-    job = ReloadJob{};  // release the connection reference promptly
+Status Server::Reload(const std::string& path) {
+  std::unique_lock<std::mutex> lock(reload_mu_, std::try_to_lock);
+  if (!lock.owns_lock()) {
+    return Status::Unavailable("reload already in progress, retry later");
   }
+  // A serial context: canary checks never contend with the workers' pools.
+  ExecContext ctx(1);
+  const Status outcome = DoReload(ctx, path);
+  if (outcome.ok()) {
+    counters_.reload_ok->Increment();
+  } else {
+    counters_.reload_failed->Increment();
+    LogWarn("serve: reload rejected, prior engine stays live: " +
+            outcome.ToString());
+  }
+  return outcome;
 }
 
 Status Server::DoReload(ExecContext& ctx, const std::string& requested_path) {
@@ -577,14 +559,10 @@ Status Server::DoReload(ExecContext& ctx, const std::string& requested_path) {
 }
 
 Status Server::RequestReload(const std::string& path) {
-  ReloadJob job;  // conn stays null: outcome reports via swap log + counters
-  job.request.type = MessageType::kReload;
-  job.request.text = path;
-  if (!reload_queue_.TryPush(std::move(job))) {
-    return Status::Unavailable(
-        "reload already in progress or server draining");
+  if (shutdown_requested_.load(std::memory_order_acquire)) {
+    return Status::Unavailable("server draining, reload refused");
   }
-  return Status::OK();
+  return Reload(path);
 }
 
 void Server::SendResponse(const std::shared_ptr<ConnState>& conn,

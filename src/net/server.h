@@ -147,11 +147,11 @@ class Server {
   /// it never stops the workers.
   ServeTelemetry Telemetry() const;
 
-  /// Queues an out-of-band reload (the SIGHUP path): load-validate the
-  /// snapshot at `path` (empty = ServeOptions::model_path), canary-check it,
-  /// swap on success. Returns once the job is queued — the outcome lands in
-  /// the swap log and the `serve.reload.*` counters. kUnavailable if a reload is already
-  /// pending or the server is draining.
+  /// Runs an out-of-band reload (the SIGHUP path) on the calling thread:
+  /// load-validate the snapshot at `path` (empty = ServeOptions::model_path),
+  /// canary-check it, swap on success. Returns the outcome, which also lands
+  /// in the swap log and the `serve.reload.*` counters. kUnavailable if
+  /// another reload is in flight or a drain began.
   Status RequestReload(const std::string& path);
 
   /// The registry holding the live engine; valid for the server's lifetime.
@@ -175,18 +175,14 @@ class Server {
     std::uint64_t enqueue_trace_ns = 0;
   };
 
-  /// One queued hot-swap attempt. `conn` is null for out-of-band (SIGHUP)
-  /// reloads, which report only through the swap log.
-  struct ReloadJob {
-    std::shared_ptr<ConnState> conn;
-    Request request;
-  };
-
   void AcceptLoop();
   void RefuseConnection(Socket& sock);
   void ReaderLoop(std::shared_ptr<ConnState> conn);
   void WorkerLoop(std::size_t worker_index);
-  void ReloadLoop();
+  /// One reload on the calling thread, under `reload_mu_`: DoReload on a
+  /// serial context, then the `serve.reload.*` counter. kUnavailable without
+  /// loading anything if another reload holds the mutex.
+  Status Reload(const std::string& path);
   /// The whole reload pipeline: Load (header + checksum verified), canary
   /// recommend on a synthetic series, registry swap. Any failure leaves the
   /// active engine serving and returns the precise error.
@@ -206,13 +202,13 @@ class Server {
   std::atomic<bool> started_{false};
 
   BoundedQueue<WorkItem> queue_;
-  /// Capacity 1: at most one reload in flight; a second request while one
-  /// runs is answered kUnavailable ("reload already in progress").
-  BoundedQueue<ReloadJob> reload_queue_;
+  /// Held for the whole of one reload and taken with try_lock: at most one
+  /// reload in flight; a request while one runs is answered kUnavailable
+  /// ("reload already in progress").
+  std::mutex reload_mu_;
   std::vector<std::unique_ptr<ExecContext>> worker_contexts_;
   std::vector<std::thread> workers_;
   std::thread accept_thread_;
-  std::thread reload_thread_;
   Status accept_status_;
 
   mutable std::mutex conns_mu_;

@@ -213,9 +213,10 @@ int Main(int argc, char** argv) {
   }
 
   // Block until SIGTERM/SIGINT trips the process latch; each SIGHUP wake
-  // in between queues an engine reload. The handlers themselves only
-  // store a flag / bump a counter and write the shared self-pipe;
-  // everything below runs in normal code.
+  // in between runs an engine reload right here, on the main thread, while
+  // the server keeps answering. The handlers themselves only store a flag /
+  // bump a counter and write the shared self-pipe; everything below runs
+  // in normal code.
   while (!ShutdownRequested()) {
     pollfd pfd;
     pfd.fd = ShutdownWakeFd();
@@ -235,9 +236,9 @@ int Main(int argc, char** argv) {
     }
     while (ConsumeReloadRequest()) {
       LogInfo("serve: SIGHUP received, reloading " + model);
-      Status queued = server.RequestReload("");
-      if (!queued.ok()) {
-        LogWarn("serve: reload not queued: " + queued.ToString());
+      Status reloaded = server.RequestReload("");
+      if (!reloaded.ok()) {
+        LogWarn("serve: SIGHUP reload failed: " + reloaded.ToString());
       }
     }
   }
