@@ -331,4 +331,24 @@ std::vector<std::size_t> InjectSpikeAnomalies(std::size_t count,
   return positions;
 }
 
+ts::TimeSeries MakeFaultySeries(std::size_t length, double missing_fraction,
+                                adarts::Rng* rng) {
+  la::Vector values(length);
+  std::vector<bool> missing(length, false);
+  const double phase = rng->Uniform(0.0, kTwoPi);
+  for (std::size_t i = 0; i < length; ++i) {
+    values[i] = std::sin(phase + 0.31 * static_cast<double>(i)) +
+                0.1 * rng->Normal();
+  }
+  for (std::size_t i = 1; i + 1 < length; ++i) {
+    if (rng->Bernoulli(missing_fraction)) {
+      missing[i] = true;
+      values[i] = 0.0;
+    }
+  }
+  missing[length / 2] = true;  // at least one missing position
+  values[length / 2] = 0.0;
+  return ts::TimeSeries(std::move(values), std::move(missing));
+}
+
 }  // namespace adarts::data

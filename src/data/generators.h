@@ -59,6 +59,14 @@ std::vector<std::size_t> InjectSpikeAnomalies(std::size_t count,
                                               adarts::Rng* rng,
                                               ts::TimeSeries* series);
 
+/// One synthetic faulty series of `length` >= 1 points: a sine of random
+/// phase plus noise, each interior point missing with probability
+/// `missing_fraction`, and the middle point always missing (endpoints stay
+/// observed when `length` >= 3). The request series of the serving tools and
+/// tests; draws from `rng`, so a fixed seed gives a fixed series.
+ts::TimeSeries MakeFaultySeries(std::size_t length, double missing_fraction,
+                                adarts::Rng* rng);
+
 }  // namespace adarts::data
 
 #endif  // ADARTS_DATA_GENERATORS_H_

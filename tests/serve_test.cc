@@ -1,10 +1,13 @@
 // End-to-end tests of the serving daemon's front end (DESIGN.md §10): the
 // request loop against a live engine, deterministic load shedding, queued
-// deadline expiry, graceful drain with zero lost in-flight replies, and
-// the folded metrics export.
+// deadline expiry, graceful drain with zero lost in-flight replies, the
+// folded metrics export, and the serve_loadgen tool against a live server.
+
+#include <sys/wait.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -16,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "adarts/adarts.h"
+#include "common/json.h"
 #include "net/server.h"
 #include "tests/serve_util.h"
 
@@ -474,6 +478,85 @@ TEST(ServeTest, StatsCountConnectionsAndRequests) {
   EXPECT_EQ(metrics.Counter("serve.requests"), 2u);
   EXPECT_EQ(metrics.Counter("serve.ok"), 2u);
   EXPECT_EQ(metrics.Counter("serve.responses_sent"), 2u);
+}
+
+// --- serve_loadgen against a live server (DESIGN.md §10) ------------------
+
+/// Runs the built serve_loadgen against `port` with `flags`, stores its exit
+/// status in `*exit_code` and parses the JSON record it writes.
+Result<json::JsonValue> RunLoadgen(std::uint16_t port, const std::string& flags,
+                                   int* exit_code) {
+  const std::string json_path = ::testing::TempDir() + "serve_loadgen_" +
+                                std::to_string(port) + ".json";
+  std::remove(json_path.c_str());  // the tool appends to its --json file
+  const std::string command = std::string("'") + ADARTS_SERVE_LOADGEN +
+                              "' --port " + std::to_string(port) + " " +
+                              flags + " --json '" + json_path + "'";
+  const int status = std::system(command.c_str());
+  *exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  std::ifstream in(json_path);
+  std::string line;
+  std::getline(in, line);
+  std::remove(json_path.c_str());
+  return json::ParseJson(line);
+}
+
+TEST(ServeLoadgenTest, BurstIsAnsweredAndTimedFromDueTimes) {
+  net::ServeOptions options;
+  options.num_workers = 2;
+  // Room for the whole burst, so no request sheds however slow the build.
+  options.queue_capacity = 120;
+  net::Server server(Engine(), options);
+  ASSERT_TRUE(server.Start().ok());
+  int exit_code = -1;
+  auto record = RunLoadgen(server.port(),
+                           "--qps 400 --requests 120 --connections 4 "
+                           "--type recommend --scrape 2",
+                           &exit_code);
+  Shutdown(&server);
+  EXPECT_EQ(exit_code, 0);
+  ASSERT_TRUE(record.ok()) << record.status();
+  EXPECT_EQ(record->NumberOr("lost", -1.0), 0.0);
+  EXPECT_EQ(record->NumberOr("ok", -1.0), 120.0);
+  EXPECT_EQ(record->Find("retries"), nullptr);
+  const json::JsonValue* metrics = record->Find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  EXPECT_EQ(metrics->Find("retries"), nullptr);
+  const double p50_ms = record->NumberOr("p50_ms", -1.0);
+  EXPECT_GT(p50_ms, 0.0);
+  EXPECT_LE(p50_ms, record->NumberOr("p99_ms", -1.0));
+  const json::JsonValue* scrape = record->Find("scrape");
+  ASSERT_NE(scrape, nullptr);
+  EXPECT_EQ(scrape->NumberOr("requested", -1.0), 2.0);
+  EXPECT_EQ(scrape->NumberOr("answered", -1.0), 2.0);
+}
+
+TEST(ServeLoadgenTest, OverloadShedsAndTimesOnlyServedRequests) {
+  net::ServeOptions options;
+  options.num_workers = 1;
+  options.queue_capacity = 1;
+  // Every admitted request waits here, so every OK reply takes >= 3 ms.
+  options.worker_hook_for_test = [](const net::Request&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  };
+  net::Server server(Engine(), options);
+  ASSERT_TRUE(server.Start().ok());
+  int exit_code = -1;
+  auto record = RunLoadgen(server.port(),
+                           "--qps 2000 --requests 200 --connections 4",
+                           &exit_code);
+  Shutdown(&server);
+  EXPECT_EQ(exit_code, 0);
+  ASSERT_TRUE(record.ok()) << record.status();
+  const double ok = record->NumberOr("ok", -1.0);
+  const double shed = record->NumberOr("shed", -1.0);
+  const double errors = record->NumberOr("errors", -1.0);
+  EXPECT_GT(shed, 0.0);
+  EXPECT_EQ(ok + shed + errors, 200.0);
+  EXPECT_EQ(record->NumberOr("lost", -1.0), 0.0);
+  // Shed replies return in microseconds; counting them would pull the p50
+  // under the hook's 3 ms.
+  EXPECT_GE(record->NumberOr("p50_ms", -1.0), 3.0);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 #define ADARTS_TESTS_SERVE_UTIL_H_
 
 // Fixtures of the suites that drive a live `net::Server`: one shared
-// engine, the faulty series they send, and a bounded request round trip.
+// engine and a bounded request round trip. The series they send come from
+// `MakeFaulty` in tests/test_util.h.
 
 #include <cstdint>
 
@@ -28,15 +29,6 @@ inline const Adarts& Engine() {
     return new Adarts(std::move(trained).value());
   }();
   return *engine;
-}
-
-/// A noisy sine with a 12-point missing block.
-inline ts::TimeSeries MakeFaulty(std::uint64_t seed = 9) {
-  ts::TimeSeries series = MakeSine(160, 24.0, 0.05, seed);
-  for (std::size_t i = 40; i < 52; ++i) {
-    series.SetMissing(i, true);
-  }
-  return series;
 }
 
 /// Connects, sends one request and reads its reply. The receive timeout

@@ -115,6 +115,13 @@ inline std::vector<ts::TimeSeries> SmallCorpus(
   return corpus;
 }
 
+/// A faulty series of length 160 (`data::MakeFaultySeries`, 10% missing):
+/// the request series of the suites and tools that drive a live server.
+inline ts::TimeSeries MakeFaulty(std::uint64_t seed = 9) {
+  Rng rng(seed);
+  return data::MakeFaultySeries(160, 0.1, &rng);
+}
+
 }  // namespace adarts::testing
 
 #endif  // ADARTS_TESTS_TEST_UTIL_H_

@@ -40,7 +40,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -56,11 +55,11 @@
 #include "adarts/adarts.h"
 #include "common/failpoint.h"
 #include "common/json.h"
-#include "common/rng.h"
 #include "data/generators.h"
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/socket.h"
+#include "tests/test_util.h"
 #include "tools/tool_args.h"
 #include "ts/time_series.h"
 
@@ -92,49 +91,9 @@ std::uint64_t NowNs() {
 }
 
 // ---------------------------------------------------------------------------
-// Engine + snapshot fixtures
+// Snapshot fixtures (the engine, its training options and the request
+// series come from tests/test_util.h, shared with the serve tests)
 // ---------------------------------------------------------------------------
-
-TrainOptions FastOptions() {
-  TrainOptions opts;
-  opts.labeling.algorithms = {
-      impute::Algorithm::kCdRec, impute::Algorithm::kSvdImpute,
-      impute::Algorithm::kTkcm, impute::Algorithm::kLinearInterp,
-      impute::Algorithm::kMeanImpute};
-  opts.race.num_seed_pipelines = 12;
-  opts.race.num_partial_sets = 2;
-  opts.race.num_folds = 2;
-  opts.features.landmarks = 16;
-  return opts;
-}
-
-std::vector<ts::TimeSeries> SmallCorpus() {
-  data::GeneratorOptions gopts;
-  gopts.num_series = 12;
-  gopts.length = 160;
-  std::vector<ts::TimeSeries> corpus;
-  for (data::Category c : {data::Category::kClimate, data::Category::kMotion}) {
-    for (auto& s : data::GenerateCategory(c, gopts)) {
-      corpus.push_back(std::move(s));
-    }
-  }
-  return corpus;
-}
-
-ts::TimeSeries MakeFaulty(std::uint64_t seed) {
-  Rng rng(seed);
-  la::Vector values(160);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] =
-        std::sin(0.15 * static_cast<double>(i)) + 0.05 * rng.Uniform();
-  }
-  ts::TimeSeries series(std::move(values));
-  series.set_name("chaos");
-  for (std::size_t i = 40; i < 52; ++i) {
-    series.SetMissing(i, true);
-  }
-  return series;
-}
 
 std::string ReadAllBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -249,7 +208,7 @@ class TrafficPool {
   TrafficPool(std::uint16_t port, std::size_t threads, double qps,
               bool tolerant)
       : port_(port), threads_(threads), qps_(qps), tolerant_(tolerant),
-        faulty_(MakeFaulty(17)) {}
+        faulty_(testing::MakeFaulty(17)) {}
 
   void Start() {
     stop_.store(false, std::memory_order_release);
@@ -843,7 +802,9 @@ int Main(int argc, char** argv) {
   std::printf("chaos_serve: training fixture engine...\n");
   std::fflush(stdout);
   ExecContext ctx;
-  auto trained = Adarts::Train(SmallCorpus(), FastOptions(), ctx);
+  auto trained = Adarts::Train(
+      testing::SmallCorpus({data::Category::kClimate, data::Category::kMotion}),
+      testing::FastOptions(), ctx);
   Check(trained.ok(), "fixture training failed: " +
                           trained.status().ToString());
   Adarts engine = std::move(trained).value();

@@ -3,28 +3,26 @@
 //   serve_loadgen (--port N | --port-file FILE) [--qps F] [--requests N]
 //                 [--connections N] [--type ping|recommend|batch|repair]
 //                 [--batch-size N] [--length N] [--missing F] [--seed N]
-//                 [--deadline-ms F] [--timeout-s F] [--retries N]
-//                 [--retry-base-ms F] [--scrape N] [--json FILE]
+//                 [--deadline-ms F] [--timeout-s F] [--scrape N]
+//                 [--json FILE]
 //
-// Open loop: every request has a scheduled send time on a fixed-QPS grid
-// (request i fires at start + i/qps), independent of when responses come
-// back — so a slow server accumulates queueing delay instead of silently
-// throttling the generator, which is the point of measuring an admission
-// queue. Requests round-robin over N connections; each connection runs an
-// independent writer (paced sends + due retries) and reader (response
-// matching by echoed id) thread.
-//
-// A shed (kUnavailable) reply is not terminal: the request is retried up
-// to --retries more times with jittered exponential backoff
-// (retry-base-ms * 2^attempt, jittered ±50%), the way a well-behaved
-// client treats explicit admission-control pushback. Only a shed that
-// survives every attempt counts in the `shed` total.
+// Open loop (DESIGN.md §10): request i is due at start + i/qps, independent
+// of when responses come back, so a slow server accumulates queueing delay
+// instead of silently throttling the generator, which is the point of
+// measuring an admission queue. Request i goes to connection i mod N. Each
+// connection runs a writer, which sends its ids at their due times, and a
+// reader, which takes one reply per id. Every reply is terminal: ok, shed
+// (kUnavailable) or error. A request's latency runs from its due time to its
+// reply, the rule of bench/e2e's load client, so a writer that falls behind
+// shows its delay instead of hiding it.
 //
 // Emits one JSON line per run (the BENCH_serve.json record), readable by
 // tools/bench_compare: `metrics` carries the direction-aware counters
-// (shed/errors/lost/retries lower-better, throughput_rps higher-better)
-// and `stages.histograms["serve.latency"]` the p50/p90/p99 perf surface
-// for --check-perf. The flat legacy fields stay for scripts.
+// (shed/errors/lost lower-better, throughput_rps higher-better) and
+// `stages.histograms["serve.latency"]` the p50/p90/p99 perf surface for
+// --check-perf. The percentiles cover OK replies only: shed replies return
+// in microseconds and would flatter the tail. Throughput counts every
+// answered request. The flat legacy fields stay for scripts.
 //
 // --scrape N interleaves N kStats telemetry scrapes spaced evenly through
 // the burst on a dedicated connection (DESIGN.md §14) — proof the daemon
@@ -33,25 +31,22 @@
 // bench_compare `metrics` map, so baseline gating is unaffected); a scrape
 // that goes unanswered fails the run.
 //
-// Exit status: 0 when every request was answered (ok, terminally-shed and
-// error responses all count as answered — shedding is correct behaviour
-// under overload); nonzero when replies were lost or a connection failed.
+// Exit status: 0 when every request was answered (ok, shed and error
+// responses all count as answered — shedding is correct behaviour under
+// overload); nonzero when replies were lost or a connection failed.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <fstream>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "data/generators.h"
 #include "net/protocol.h"
 #include "net/socket.h"
 #include "tools/tool_args.h"
@@ -78,58 +73,17 @@ int Usage() {
       "                     [--type ping|recommend|batch|repair]\n"
       "                     [--batch-size N] [--length N] [--missing F]\n"
       "                     [--seed N] [--deadline-ms F] [--timeout-s F]\n"
-      "                     [--retries N] [--retry-base-ms F]\n"
       "                     [--scrape N] [--json FILE]\n");
   return 2;
 }
 
-/// One synthetic faulty series: a deterministic seasonal signal with a
-/// missing block plus scattered missing points (endpoints kept observed).
-ts::TimeSeries MakeFaultySeries(std::size_t length, double missing_fraction,
-                                Rng* rng) {
-  la::Vector values(length);
-  std::vector<bool> missing(length, false);
-  const double phase = rng->Uniform(0.0, 6.28318530717958648);
-  for (std::size_t i = 0; i < length; ++i) {
-    values[i] = std::sin(phase + 0.31 * static_cast<double>(i)) +
-                0.1 * rng->Normal();
-  }
-  for (std::size_t i = 1; i + 1 < length; ++i) {
-    if (rng->Bernoulli(missing_fraction)) {
-      missing[i] = true;
-      values[i] = 0.0;
-    }
-  }
-  missing[length / 2] = true;  // at least one missing position
-  values[length / 2] = 0.0;
-  return ts::TimeSeries(std::move(values), std::move(missing));
-}
-
-struct Totals {
-  std::atomic<std::uint64_t> ok{0};
-  std::atomic<std::uint64_t> shed{0};
-  std::atomic<std::uint64_t> errors{0};
-  std::atomic<std::uint64_t> answered{0};
-  std::atomic<std::uint64_t> retries{0};
-};
-
-/// One request awaiting a backed-off re-send.
-struct RetryItem {
-  std::uint64_t due_ns = 0;
-  std::uint64_t id = 0;
-};
-
-/// Writer/reader rendezvous for one connection: the reader schedules
-/// retries here and flips `done` when every id assigned to the connection
-/// reached a terminal outcome; the writer interleaves due retries with its
-/// paced initial sends.
-struct ConnChannel {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<RetryItem> retries;
-  std::size_t terminal = 0;
-  std::size_t share = 0;
-  bool done = false;
+/// What one connection's reader saw; merged by main after the join.
+struct ConnTally {
+  std::uint64_t ok = 0;
+  std::uint64_t shed = 0;
+  std::uint64_t errors = 0;
+  /// Due time to reply, one entry per OK reply.
+  std::vector<std::uint64_t> ok_latency_ns;
 };
 
 int Main(int argc, char** argv) {
@@ -147,9 +101,6 @@ int Main(int argc, char** argv) {
   std::uint64_t seed = 1;
   double deadline_ms = 0.0;
   double timeout_s = 15.0;
-  // Bounded extra attempts after a shed; 0 restores shed-is-terminal.
-  std::uint64_t max_retries = 3;
-  double retry_base_ms = 2.0;
   std::size_t scrapes = 0;
   const Status flags = FirstError({
       port.status(),
@@ -162,8 +113,6 @@ int Main(int argc, char** argv) {
       args.GetUint("seed", &seed),
       args.GetDouble("deadline-ms", &deadline_ms),
       args.GetDouble("timeout-s", &timeout_s),
-      args.GetUint("retries", &max_retries),
-      args.GetDouble("retry-base-ms", &retry_base_ms),
       args.GetUint("scrape", &scrapes),
   });
   if (!flags.ok()) {
@@ -186,14 +135,14 @@ int Main(int argc, char** argv) {
   } else {
     return Usage();
   }
-  if (requests == 0 || qps <= 0.0) return Usage();
+  if (requests == 0 || qps <= 0.0 || length == 0) return Usage();
 
   // A small rotation of requests over 8 series; each send copies one and
   // sets its own id.
   Rng rng(seed);
   std::vector<ts::TimeSeries> series_pool;
   for (std::size_t i = 0; i < 8; ++i) {
-    series_pool.push_back(MakeFaultySeries(length, missing, &rng));
+    series_pool.push_back(data::MakeFaultySeries(length, missing, &rng));
   }
   std::vector<net::Request> rotation;
   for (std::size_t i = 0; i < series_pool.size(); ++i) {
@@ -219,26 +168,8 @@ int Main(int argc, char** argv) {
     if (!timeout_set.ok()) return Fail(timeout_set);
   }
 
-  // send_ns[id] is written by the sender before the frame hits the wire and
-  // read by the receiver after the echoed id comes back on the same
-  // connection, so each slot has one writer and a happens-after reader.
-  std::vector<std::atomic<std::uint64_t>> send_ns(requests);
-  std::vector<std::atomic<std::uint64_t>> latency_ns(requests);
-  std::vector<std::atomic<std::uint64_t>> retries_used(requests);
-  for (std::size_t i = 0; i < requests; ++i) {
-    send_ns[i].store(0, std::memory_order_relaxed);
-    latency_ns[i].store(0, std::memory_order_relaxed);
-    retries_used[i].store(0, std::memory_order_relaxed);
-  }
-  Totals totals;
   std::atomic<bool> failed{false};
-
-  std::vector<std::unique_ptr<ConnChannel>> channels;
-  for (std::size_t c = 0; c < connections; ++c) {
-    auto chan = std::make_unique<ConnChannel>();
-    chan->share = requests / connections + (c < requests % connections ? 1 : 0);
-    channels.push_back(std::move(chan));
-  }
+  std::vector<ConnTally> tallies(connections);
 
   const Clock::time_point start = Clock::now();
   const auto NowNs = [&start]() {
@@ -246,6 +177,9 @@ int Main(int argc, char** argv) {
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                              start)
             .count());
+  };
+  const auto DueNs = [qps](std::uint64_t id) {
+    return static_cast<std::uint64_t>(static_cast<double>(id) / qps * 1e9);
   };
 
   // Mid-burst telemetry scrapes on a dedicated connection: the scraper's
@@ -283,128 +217,40 @@ int Main(int argc, char** argv) {
 
   std::vector<std::thread> threads;
   for (std::size_t c = 0; c < connections; ++c) {
-    // Writer: open-loop paced initial sends, interleaved with due retries
-    // the reader scheduled. Runs until every id on this connection reached
-    // a terminal outcome (chan.done).
+    // Writer: sends ids c, c + N, ... each at its due time.
     threads.emplace_back([&, c] {
-      ConnChannel& chan = *channels[c];
-      std::size_t next = c;  // next unsent initial id on this connection
-      for (;;) {
-        std::uint64_t id = 0;
-        std::uint64_t due_ns = 0;
-        {
-          std::unique_lock<std::mutex> lock(chan.mu);
-          for (;;) {
-            if (chan.done) return;
-            std::size_t best = chan.retries.size();
-            for (std::size_t r = 0; r < chan.retries.size(); ++r) {
-              if (best == chan.retries.size() ||
-                  chan.retries[r].due_ns < chan.retries[best].due_ns) {
-                best = r;
-              }
-            }
-            const std::uint64_t initial_due_ns =
-                next < requests
-                    ? static_cast<std::uint64_t>(
-                          static_cast<double>(next) / qps * 1e9)
-                    : UINT64_MAX;
-            const std::uint64_t retry_due_ns = best < chan.retries.size()
-                                                   ? chan.retries[best].due_ns
-                                                   : UINT64_MAX;
-            if (initial_due_ns == UINT64_MAX && retry_due_ns == UINT64_MAX) {
-              // All sent; sleep until the reader schedules a retry or
-              // declares the connection done.
-              chan.cv.wait(lock);
-              continue;
-            }
-            if (retry_due_ns <= initial_due_ns) {
-              id = chan.retries[best].id;
-              due_ns = retry_due_ns;
-              chan.retries.erase(chan.retries.begin() +
-                                 static_cast<std::ptrdiff_t>(best));
-            } else {
-              id = next;
-              due_ns = initial_due_ns;
-              next += connections;
-            }
-            break;
-          }
-        }
-        std::this_thread::sleep_until(
-            start + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::nanoseconds(due_ns)));
+      for (std::uint64_t id = c; id < requests; id += connections) {
+        std::this_thread::sleep_until(start +
+                                      std::chrono::nanoseconds(DueNs(id)));
         net::Request request = rotation[id % rotation.size()];
         request.id = id;
-        send_ns[id].store(NowNs(), std::memory_order_release);
-        Status written = net::WriteRequest(socks[c], request);
-        if (!written.ok()) {
+        if (!net::WriteRequest(socks[c], request).ok()) {
           failed.store(true, std::memory_order_relaxed);
-          std::lock_guard<std::mutex> lock(chan.mu);
-          chan.done = true;
           return;
         }
       }
     });
-    // Reader: match responses by echoed id; a retryable shed goes back to
-    // the writer with jittered exponential backoff, everything else is
-    // terminal (classified + latency recorded from its last send).
+    // Reader: one reply per id this connection sent, matched by echoed id.
     threads.emplace_back([&, c] {
-      ConnChannel& chan = *channels[c];
-      const auto finish = [&chan] {
-        std::lock_guard<std::mutex> lock(chan.mu);
-        chan.done = true;
-        chan.cv.notify_all();
-      };
-      for (;;) {
-        {
-          std::lock_guard<std::mutex> lock(chan.mu);
-          if (chan.terminal >= chan.share) break;
-        }
+      ConnTally& tally = tallies[c];
+      const std::size_t share =
+          requests / connections + (c < requests % connections ? 1 : 0);
+      for (std::size_t n = 0; n < share; ++n) {
         auto response = net::ReadResponse(socks[c]);
-        if (!response.ok() || response->id >= requests) {
+        if (!response.ok() || response->id >= requests ||
+            response->id % connections != c) {
           failed.store(true, std::memory_order_relaxed);
-          break;
+          return;
         }
-        const std::uint64_t id = response->id;
-        if (response->code == StatusCode::kUnavailable &&
-            retries_used[id].load(std::memory_order_relaxed) < max_retries) {
-          // Explicit admission-control pushback: back off and retry.
-          // Deterministic jitter in [0.5, 1.5) decorrelates clients without
-          // an RNG on the hot path.
-          const std::uint64_t attempt =
-              retries_used[id].fetch_add(1, std::memory_order_relaxed) + 1;
-          totals.retries.fetch_add(1, std::memory_order_relaxed);
-          const double jitter =
-              0.5 + static_cast<double>(
-                        (id * 2654435761ULL + attempt * 40503ULL) % 1024) /
-                        1024.0;
-          const double delay_ms =
-              retry_base_ms *
-              std::ldexp(1.0, static_cast<int>(attempt) - 1) * jitter;
-          RetryItem item;
-          item.id = id;
-          item.due_ns =
-              NowNs() + static_cast<std::uint64_t>(delay_ms * 1e6);
-          std::lock_guard<std::mutex> lock(chan.mu);
-          chan.retries.push_back(item);
-          chan.cv.notify_all();
-          continue;
-        }
-        const std::uint64_t sent = send_ns[id].load(std::memory_order_acquire);
-        latency_ns[id].store(NowNs() > sent ? NowNs() - sent : 1,
-                             std::memory_order_relaxed);
-        totals.answered.fetch_add(1, std::memory_order_relaxed);
         if (response->code == StatusCode::kOk) {
-          totals.ok.fetch_add(1, std::memory_order_relaxed);
+          ++tally.ok;
+          tally.ok_latency_ns.push_back(NowNs() - DueNs(response->id));
         } else if (response->code == StatusCode::kUnavailable) {
-          totals.shed.fetch_add(1, std::memory_order_relaxed);
+          ++tally.shed;
         } else {
-          totals.errors.fetch_add(1, std::memory_order_relaxed);
+          ++tally.errors;
         }
-        std::lock_guard<std::mutex> lock(chan.mu);
-        ++chan.terminal;
       }
-      finish();
     });
   }
   for (std::thread& t : threads) t.join();
@@ -412,20 +258,22 @@ int Main(int argc, char** argv) {
   const double elapsed_s = static_cast<double>(NowNs()) / 1e9;
   for (net::Socket& sock : socks) sock.Close();
 
-  const std::uint64_t ok = totals.ok.load();
-  const std::uint64_t shed = totals.shed.load();
-  const std::uint64_t errors = totals.errors.load();
-  const std::uint64_t answered = totals.answered.load();
-  const std::uint64_t retries = totals.retries.load();
+  std::uint64_t ok = 0;
+  std::uint64_t shed = 0;
+  std::uint64_t errors = 0;
+  std::vector<std::uint64_t> served;
+  for (const ConnTally& tally : tallies) {
+    ok += tally.ok;
+    shed += tally.shed;
+    errors += tally.errors;
+    served.insert(served.end(), tally.ok_latency_ns.begin(),
+                  tally.ok_latency_ns.end());
+  }
+  const std::uint64_t answered = ok + shed + errors;
   const std::uint64_t lost = requests - answered;
 
-  // Percentiles over successfully served requests (shed replies return in
-  // microseconds and would flatter the tail).
-  std::vector<std::uint64_t> served;
-  for (std::size_t i = 0; i < requests; ++i) {
-    const std::uint64_t ns = latency_ns[i].load(std::memory_order_relaxed);
-    if (ns > 0) served.push_back(ns);
-  }
+  // Percentiles over OK replies only (shed replies return in microseconds
+  // and would flatter the tail).
   std::sort(served.begin(), served.end());
   const auto Percentile = [&served](double q) {
     if (served.empty()) return 0.0;
@@ -441,13 +289,12 @@ int Main(int argc, char** argv) {
 
   std::printf(
       "serve_loadgen: %zu requests @ %.0f qps over %zu connections: "
-      "%llu ok, %llu shed, %llu errors, %llu lost, %llu retries; "
+      "%llu ok, %llu shed, %llu errors, %llu lost; "
       "p50 %.2f ms, p90 %.2f ms, p99 %.2f ms, %.1f rps\n",
       requests, qps, connections, static_cast<unsigned long long>(ok),
       static_cast<unsigned long long>(shed),
       static_cast<unsigned long long>(errors),
-      static_cast<unsigned long long>(lost),
-      static_cast<unsigned long long>(retries), p50_ms, p90_ms, p99_ms,
+      static_cast<unsigned long long>(lost), p50_ms, p90_ms, p99_ms,
       throughput);
   if (scrapes > 0) {
     std::printf("serve_loadgen: %llu of %zu mid-burst scrapes answered\n",
@@ -469,24 +316,22 @@ int Main(int argc, char** argv) {
         "\"requests\":\"%zu\",\"connections\":\"%zu\",\"type\":\"%s\","
         "\"seed\":\"%llu\"},\"seconds\":%.6f,\"checksum\":0,"
         "\"metrics\":{\"shed\":%llu,\"errors\":%llu,\"lost\":%llu,"
-        "\"retries\":%llu,\"throughput_rps\":%.1f},"
+        "\"throughput_rps\":%.1f},"
         "\"stages\":{\"histograms\":{\"serve.latency\":{"
         "\"p50_ns\":%.0f,\"p90_ns\":%.0f,\"p99_ns\":%.0f}}},"
         "\"p50_ms\":%.3f,\"p90_ms\":%.3f,\"p99_ms\":%.3f,"
         "\"throughput_rps\":%.1f,\"requests\":%zu,\"ok\":%llu,"
-        "\"shed\":%llu,\"errors\":%llu,\"lost\":%llu,\"retries\":%llu}",
+        "\"shed\":%llu,\"errors\":%llu,\"lost\":%llu}",
         qps, requests, connections, type_name.c_str(),
         static_cast<unsigned long long>(seed), elapsed_s,
         static_cast<unsigned long long>(shed),
         static_cast<unsigned long long>(errors),
-        static_cast<unsigned long long>(lost),
-        static_cast<unsigned long long>(retries), throughput, p50_ms * 1e6,
+        static_cast<unsigned long long>(lost), throughput, p50_ms * 1e6,
         p90_ms * 1e6, p99_ms * 1e6, p50_ms, p90_ms, p99_ms, throughput,
         requests, static_cast<unsigned long long>(ok),
         static_cast<unsigned long long>(shed),
         static_cast<unsigned long long>(errors),
-        static_cast<unsigned long long>(lost),
-        static_cast<unsigned long long>(retries));
+        static_cast<unsigned long long>(lost));
     std::string record(line);
     if (scrapes > 0 && !last_scrape_json.empty()) {
       // The snapshot is itself a JSON object, embedded verbatim as a
